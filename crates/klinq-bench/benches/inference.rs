@@ -20,7 +20,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use klinq_core::testkit;
-use klinq_core::{BatchDiscriminator, KlinqSystem};
+use klinq_core::{Backend, BatchDiscriminator, KlinqSystem};
 use klinq_fpga::HwScratch;
 use klinq_nn::InferenceScratch;
 use std::hint::black_box;
@@ -52,19 +52,19 @@ fn bench_inference(c: &mut Criterion) {
     group.bench_function("student_fnn_a_float", |b| {
         let d = system.discriminator(0);
         let t = &shot.traces[0];
-        b.iter(|| black_box(d.measure(black_box(&t.i), black_box(&t.q))));
+        b.iter(|| black_box(d.measure_on(Backend::Float, black_box(&t.i), black_box(&t.q))));
     });
     // FNN-B student (qubit 2) — float path.
     group.bench_function("student_fnn_b_float", |b| {
         let d = system.discriminator(1);
         let t = &shot.traces[1];
-        b.iter(|| black_box(d.measure(black_box(&t.i), black_box(&t.q))));
+        b.iter(|| black_box(d.measure_on(Backend::Float, black_box(&t.i), black_box(&t.q))));
     });
     // FNN-A student — bit-accurate FPGA datapath model.
     group.bench_function("student_fnn_a_hw_model", |b| {
         let d = system.discriminator(0);
         let t = &shot.traces[0];
-        b.iter(|| black_box(d.measure_hw(black_box(&t.i), black_box(&t.q))));
+        b.iter(|| black_box(d.measure_on(Backend::Hardware, black_box(&t.i), black_box(&t.q))));
     });
     // Teacher (Baseline FNN) forward pass on a pre-normalized raw trace.
     group.bench_function("teacher_raw_trace", |b| {
@@ -142,7 +142,7 @@ fn bench_batched_inference(c: &mut Criterion) {
     // held-out set — the 1-core trajectory anchor (its committed figure
     // is measured on the single-core reference container).
     group.bench_function("testset_parallel", |b| {
-        b.iter(|| black_box(batch.classify_shots(black_box(shots))));
+        b.iter(|| black_box(batch.classify_shots_on(Backend::Float, black_box(shots))));
     });
     // The same engine under the id reserved for multi-core trajectories:
     // only emitted when a worker pool actually exists, so the 1-core
@@ -154,7 +154,7 @@ fn bench_batched_inference(c: &mut Criterion) {
     // benchdiff only compares entries whose `worker_threads` match.
     if rayon::current_num_threads() > 1 {
         group.bench_function("testset_parallel_mt", |b| {
-            b.iter(|| black_box(batch.classify_shots(black_box(shots))));
+            b.iter(|| black_box(batch.classify_shots_on(Backend::Float, black_box(shots))));
         });
     }
     // Sequential scratch-path reference on the same shots, for the
@@ -163,14 +163,14 @@ fn bench_batched_inference(c: &mut Criterion) {
         b.iter(|| {
             let states: Vec<_> = shots
                 .iter()
-                .map(|shot| batch.classify_shot(black_box(shot)))
+                .map(|shot| batch.classify_shot_on(Backend::Float, black_box(shot)))
                 .collect();
             black_box(states)
         });
     });
     // The batched Q16.16 datapath (fused SoA fixed-point kernels).
     group.bench_function("testset_parallel_hw", |b| {
-        b.iter(|| black_box(batch.classify_shots_hw(black_box(shots))));
+        b.iter(|| black_box(batch.classify_shots_on(Backend::Hardware, black_box(shots))));
     });
     group.finish();
 }

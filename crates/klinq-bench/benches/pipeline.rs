@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use klinq_core::experiments::ExperimentConfig;
-use klinq_core::KlinqSystem;
+use klinq_core::{Backend, KlinqSystem};
 use klinq_sim::{FiveQubitDevice, ReadoutDataset, SimConfig};
 use std::hint::black_box;
 
@@ -44,7 +44,7 @@ fn bench_batch_readout(c: &mut Criterion) {
     let mut group = c.benchmark_group("batch_readout");
     group.throughput(Throughput::Elements(data.len() as u64));
     group.bench_function("five_qubit_full_testset", |b| {
-        b.iter(|| black_box(system.evaluate()));
+        b.iter(|| black_box(system.evaluate_on(Backend::Float)));
     });
     group.finish();
 }

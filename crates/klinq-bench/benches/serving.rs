@@ -43,7 +43,11 @@ fn serve_round(server: &ReadoutServer, shots: &[Shot], clients: usize) {
             .chunks(per_client)
             .map(|chunk| {
                 let client = server.client();
-                scope.spawn(move || client.classify_shots(chunk.to_vec()).expect("server alive"))
+                scope.spawn(move || {
+                    client
+                        .classify_shots_opts(RequestOptions::new(), chunk.to_vec())
+                        .expect("server alive")
+                })
             })
             .collect();
         for handle in handles {
@@ -106,7 +110,10 @@ fn bench_serving(c: &mut Criterion) {
                     for chunk in shots.chunks(per_client) {
                         let client = fleet.client(device);
                         handles.push(scope.spawn(move || {
-                            client.classify_shots(chunk.to_vec()).expect("fleet alive").len()
+                            client
+                                .classify_shots_opts(RequestOptions::new(), chunk.to_vec())
+                                .expect("fleet alive")
+                                .len()
                         }));
                     }
                 }
@@ -138,7 +145,11 @@ fn bench_serving(c: &mut Criterion) {
         .expect("start wire server");
         let mut client =
             WireClient::connect(server.local_addr(), 0).expect("connect loopback");
-        b.iter(|| black_box(client.classify_shots(&shots).expect("served").len()));
+        b.iter(|| {
+            black_box(
+                client.classify_shots_opts(RequestOptions::new(), &shots).expect("served").len(),
+            )
+        });
         drop(client);
         server.shutdown();
         fleet.shutdown();
@@ -210,7 +221,7 @@ fn bench_wire_concurrency(c: &mut Criterion) {
         let round = |clients: &mut [WireClient], latencies: &mut Vec<f64>| {
             let mut submitted = Vec::with_capacity(clients.len());
             for (i, client) in clients.iter_mut().enumerate() {
-                client.submit(slice_of(i)).expect("submitted");
+                client.submit_opts(RequestOptions::new(), slice_of(i)).expect("submitted");
                 submitted.push(Instant::now());
             }
             for (i, client) in clients.iter_mut().enumerate() {

@@ -3,16 +3,15 @@
 //! Every discriminator in this workspace exists twice — as the float
 //! reference implementation (feature pipeline + `f32` student network)
 //! and as the bit-accurate Q16.16 model of the deployed FPGA datapath.
-//! Earlier revisions exposed that duality as parallel `measure`/
-//! `measure_hw`, `evaluate`/`evaluate_hw`, … method pairs; [`Backend`]
-//! collapses the pairs into single generic entry points
-//! ([`crate::KlinqDiscriminator::measure_on`],
-//! [`crate::BatchDiscriminator::classify_shots_on`],
-//! [`crate::KlinqSystem::evaluate_on`]) that take the backend as a value.
-//!
-//! The legacy twins survive as `#[inline]` one-line wrappers, so existing
-//! callers keep compiling, and every wrapper is bitwise-identical to the
-//! generic path it forwards to.
+//! [`Backend`] makes that duality a value: each inference operation has
+//! one entry point that takes the backend as an argument
+//! ([`crate::KlinqDiscriminator::measure_on`] /
+//! [`crate::KlinqDiscriminator::fidelity_on`],
+//! [`crate::BatchDiscriminator::classify_shot_on`] /
+//! [`crate::BatchDiscriminator::classify_shots_on`] /
+//! [`crate::BatchDiscriminator::evaluate_on`],
+//! [`crate::KlinqSystem::measure_on`] /
+//! [`crate::KlinqSystem::evaluate_on`]).
 //!
 //! Backend choice is *data*, not code: a serving front end (see the
 //! `klinq-serve` crate) can route each request batch to either datapath

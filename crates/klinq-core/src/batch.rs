@@ -1,7 +1,7 @@
 //! Batched, data-parallel readout: classify many shots across all five
 //! qubits concurrently, with zero heap allocations on the hot path.
 //!
-//! The per-shot path ([`crate::KlinqSystem::measure`]) exists for mid-circuit
+//! The per-shot path ([`crate::KlinqSystem::measure_on`]) exists for mid-circuit
 //! latency; evaluation and serving workloads instead see *throughput* —
 //! thousands of buffered shots that all need discriminating. This module
 //! chunks a shot batch over the persistent worker pool of the vendored
@@ -15,24 +15,24 @@
 //! `Matrix::gemm_block`) instead of one network traversal per shot.
 //!
 //! Every buffer the chunk path touches lives in a per-worker
-//! [`ShotScratch`] (the pool keeps its threads — and therefore these warm
+//! `ShotScratch` (the pool keeps its threads — and therefore these warm
 //! buffers — alive across batches), so after warmup a batch classifies
 //! with no allocator traffic at all. Scheduling never changes results:
 //! outputs are written back in shot order and every prediction is
-//! bitwise-identical to sequential [`KlinqDiscriminator::measure`] calls —
+//! bitwise-identical to sequential [`KlinqDiscriminator::measure_on`] calls —
 //! the fused kernels keep each lane's scalar summation order (see
 //! `klinq_dsp::averaging` for the order policy), and the GEMM replays the
 //! exact single-sample order (see `Dense::forward_infer_into`). Ragged
 //! blocks (mixed trace lengths) fall back to the identical scalar path.
 //!
 //! The bit-accurate Q16.16 datapath is batched the same way:
-//! [`BatchDiscriminator::classify_shots_hw`] gathers the same SoA blocks
-//! and runs the fused fixed-point kernel
+//! [`BatchDiscriminator::classify_shots_on`] with [`Backend::Hardware`]
+//! gathers the same SoA blocks and runs the fused fixed-point kernel
 //! ([`klinq_fpga::FpgaDiscriminator::infer_batch_with`]) through
 //! per-worker [`klinq_fpga::HwBatchScratch`] buffers — bitwise-identical
-//! to `measure_hw` because every fixed-point accumulator wraps.
+//! to per-shot `measure_on` because every fixed-point accumulator wraps.
 //!
-//! [`crate::KlinqSystem::evaluate`] routes through this engine, and the
+//! [`crate::KlinqSystem::evaluate_on`] routes through this engine, and the
 //! `inference` criterion bench reports its shots/sec as the repo's
 //! serving-throughput trajectory (see `BENCH_inference.json`).
 
@@ -56,7 +56,7 @@ pub type ShotStates = [bool; 5];
 /// float and Q16.16 classification paths perform zero heap allocations
 /// once the buffers have warmed up to the batch shape.
 #[derive(Debug, Default)]
-pub struct ShotScratch {
+struct ShotScratch {
     /// One shot's feature row (per-shot float path).
     features: Vec<f32>,
     /// Network ping-pong buffers for the per-shot float path.
@@ -75,17 +75,10 @@ pub struct ShotScratch {
     hw_batch: HwBatchScratch,
 }
 
-impl ShotScratch {
-    /// An empty scratch (buffers grow on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 thread_local! {
     /// The calling thread's scratch. Pool workers persist across batches,
     /// so these warm buffers are reused by every subsequent call.
-    static SCRATCH: RefCell<ShotScratch> = RefCell::new(ShotScratch::new());
+    static SCRATCH: RefCell<ShotScratch> = RefCell::new(ShotScratch::default());
 }
 
 /// A batched front end over five per-qubit discriminators.
@@ -157,9 +150,8 @@ impl<'a> BatchDiscriminator<'a> {
         SCRATCH.with(|s| self.classify_shot_on_with(backend, shot, &mut s.borrow_mut()))
     }
 
-    /// [`Self::classify_shot_on`] with an explicit scratch (for callers
-    /// managing their own buffers).
-    pub fn classify_shot_on_with(
+    /// [`Self::classify_shot_on`] with an explicit scratch.
+    fn classify_shot_on_with(
         &self,
         backend: Backend,
         shot: &Shot,
@@ -180,38 +172,6 @@ impl<'a> BatchDiscriminator<'a> {
             };
         }
         states
-    }
-
-    /// Classifies one shot on the float path.
-    ///
-    /// Compatibility wrapper over [`Self::classify_shot_on`].
-    #[inline]
-    pub fn classify_shot(&self, shot: &Shot) -> ShotStates {
-        self.classify_shot_on(Backend::Float, shot)
-    }
-
-    /// [`Self::classify_shot`] with an explicit scratch.
-    ///
-    /// Compatibility wrapper over [`Self::classify_shot_on_with`].
-    #[inline]
-    pub fn classify_shot_with(&self, shot: &Shot, scratch: &mut ShotScratch) -> ShotStates {
-        self.classify_shot_on_with(Backend::Float, shot, scratch)
-    }
-
-    /// Classifies one shot through the bit-accurate Q16.16 datapath.
-    ///
-    /// Compatibility wrapper over [`Self::classify_shot_on`].
-    #[inline]
-    pub fn classify_shot_hw(&self, shot: &Shot) -> ShotStates {
-        self.classify_shot_on(Backend::Hardware, shot)
-    }
-
-    /// [`Self::classify_shot_hw`] with an explicit scratch.
-    ///
-    /// Compatibility wrapper over [`Self::classify_shot_on_with`].
-    #[inline]
-    pub fn classify_shot_hw_with(&self, shot: &Shot, scratch: &mut ShotScratch) -> ShotStates {
-        self.classify_shot_on_with(Backend::Hardware, shot, scratch)
     }
 
     /// Classifies one chunk with the fused SoA kernels and a batched
@@ -333,37 +293,6 @@ impl<'a> BatchDiscriminator<'a> {
         }
     }
 
-    /// Classifies a batch of shots in parallel (float pipeline).
-    ///
-    /// Compatibility wrapper over [`Self::classify_shots_on`].
-    #[inline]
-    pub fn classify_shots(&self, shots: &[Shot]) -> Vec<ShotStates> {
-        self.classify_shots_on(Backend::Float, shots)
-    }
-
-    /// Classifies a batch of shots in parallel through the bit-accurate
-    /// Q16.16 datapath.
-    ///
-    /// Compatibility wrapper over [`Self::classify_shots_on`].
-    #[inline]
-    pub fn classify_shots_hw(&self, shots: &[Shot]) -> Vec<ShotStates> {
-        self.classify_shots_on(Backend::Hardware, shots)
-    }
-
-    /// Classifies every shot of a dataset in parallel on the chosen
-    /// backend.
-    pub fn classify_dataset_on(&self, backend: Backend, data: &ReadoutDataset) -> Vec<ShotStates> {
-        self.classify_shots_on(backend, data.shots())
-    }
-
-    /// Classifies every shot of a dataset in parallel (float pipeline).
-    ///
-    /// Compatibility wrapper over [`Self::classify_dataset_on`].
-    #[inline]
-    pub fn classify_dataset(&self, data: &ReadoutDataset) -> Vec<ShotStates> {
-        self.classify_dataset_on(Backend::Float, data)
-    }
-
     /// Per-qubit assignment fidelities of a prediction set over a dataset.
     fn report_from(predictions: &[ShotStates], data: &ReadoutDataset) -> FidelityReport {
         let fidelities = (0..5)
@@ -383,23 +312,7 @@ impl<'a> BatchDiscriminator<'a> {
     /// sequential [`KlinqDiscriminator::measure_on`] calls — the
     /// parallelism never changes a prediction, only the wall-clock cost.
     pub fn evaluate_on(&self, backend: Backend, data: &ReadoutDataset) -> FidelityReport {
-        Self::report_from(&self.classify_dataset_on(backend, data), data)
-    }
-
-    /// Float-path batched evaluation.
-    ///
-    /// Compatibility wrapper over [`Self::evaluate_on`].
-    #[inline]
-    pub fn evaluate(&self, data: &ReadoutDataset) -> FidelityReport {
-        self.evaluate_on(Backend::Float, data)
-    }
-
-    /// Batched evaluation through the Q16.16 datapath.
-    ///
-    /// Compatibility wrapper over [`Self::evaluate_on`].
-    #[inline]
-    pub fn evaluate_hw(&self, data: &ReadoutDataset) -> FidelityReport {
-        self.evaluate_on(Backend::Hardware, data)
+        Self::report_from(&self.classify_shots_on(backend, data.shots()), data)
     }
 }
 
@@ -407,54 +320,65 @@ impl<'a> BatchDiscriminator<'a> {
 mod tests {
     use super::*;
     use crate::testutil::smoke_system;
+    use crate::KlinqSystem;
 
-    #[test]
-    fn batch_matches_sequential_bitwise() {
+    fn assert_batch_matches_sequential(backend: Backend) {
         let sys = smoke_system();
         let batch = BatchDiscriminator::new(sys.discriminators());
         let shots = sys.test_data().shots();
-        let batched = batch.classify_shots(shots);
+        let batched = batch.classify_shots_on(backend, shots);
         assert_eq!(batched.len(), shots.len());
         for (shot, states) in shots.iter().zip(&batched) {
-            // The GEMM-chunked result, the scratch per-shot path, and the
+            // The chunked result, the scratch per-shot path, and the
             // sequential allocating reference must all agree exactly.
-            assert_eq!(*states, batch.classify_shot(shot));
+            assert_eq!(*states, batch.classify_shot_on(backend, shot));
             for (qb, (state, t)) in states.iter().zip(&shot.traces).enumerate() {
-                let sequential = sys.measure(qb, &t.i, &t.q);
-                assert_eq!(*state, sequential, "qubit {qb} diverged");
+                let sequential = sys.measure_on(backend, qb, &t.i, &t.q);
+                assert_eq!(*state, sequential, "qubit {qb} diverged on {backend}");
             }
         }
     }
 
     #[test]
+    fn batch_matches_sequential_bitwise() {
+        assert_batch_matches_sequential(Backend::Float);
+    }
+
+    #[test]
     fn hw_batch_matches_sequential_measure_hw() {
-        let sys = smoke_system();
-        let batch = BatchDiscriminator::new(sys.discriminators());
-        let shots = sys.test_data().shots();
-        let batched = batch.classify_shots_hw(shots);
-        assert_eq!(batched.len(), shots.len());
-        for (shot, states) in shots.iter().zip(&batched) {
-            assert_eq!(*states, batch.classify_shot_hw(shot));
-            for (qb, (state, t)) in states.iter().zip(&shot.traces).enumerate() {
-                let sequential = sys.discriminator(qb).measure_hw(&t.i, &t.q);
-                assert_eq!(*state, sequential, "qubit {qb} hw diverged");
-            }
-        }
+        assert_batch_matches_sequential(Backend::Hardware);
     }
 
     #[test]
     fn chunk_size_never_changes_results() {
         let sys = smoke_system();
         let shots = sys.test_data().shots();
-        let reference = BatchDiscriminator::new(sys.discriminators()).classify_shots(shots);
-        let reference_hw = BatchDiscriminator::new(sys.discriminators()).classify_shots_hw(shots);
-        for chunk_size in [1, 3, 7, 64, shots.len() + 1] {
-            let batch = BatchDiscriminator::new(sys.discriminators()).with_chunk_size(chunk_size);
-            assert_eq!(batch.classify_shots(shots), reference, "chunk size {chunk_size} diverged");
+        for backend in Backend::ALL {
+            let reference =
+                BatchDiscriminator::new(sys.discriminators()).classify_shots_on(backend, shots);
+            for chunk_size in [1, 3, 7, 64, shots.len() + 1] {
+                let batch =
+                    BatchDiscriminator::new(sys.discriminators()).with_chunk_size(chunk_size);
+                assert_eq!(
+                    batch.classify_shots_on(backend, shots),
+                    reference,
+                    "chunk size {chunk_size} diverged on {backend}"
+                );
+            }
+        }
+    }
+
+    /// `KlinqSystem::evaluate_on` routes through the batch engine; the
+    /// sequential reference is the per-discriminator `fidelity_on`.
+    fn assert_batched_evaluate_matches_per_qubit_fidelity(sys: &KlinqSystem, backend: Backend) {
+        let data = sys.test_data();
+        let batched = sys.evaluate_on(backend);
+        for qb in 0..5 {
+            let sequential = sys.discriminator(qb).fidelity_on(backend, data, usize::MAX);
             assert_eq!(
-                batch.classify_shots_hw(shots),
-                reference_hw,
-                "chunk size {chunk_size} diverged (hw)"
+                batched.qubit(qb),
+                sequential,
+                "qubit {qb} fidelity diverged on {backend}"
             );
         }
     }
@@ -462,23 +386,16 @@ mod tests {
     #[test]
     fn batched_evaluate_matches_sequential_evaluate() {
         let sys = smoke_system();
-        // `KlinqSystem::evaluate` routes through the batch engine; the
-        // sequential reference is `evaluate_at` at the design duration.
-        let batched = sys.evaluate();
-        let sequential = sys.evaluate_at(sys.test_data().samples());
-        assert_eq!(batched, sequential);
+        assert_batched_evaluate_matches_per_qubit_fidelity(sys, Backend::Float);
+        // `evaluate_at` at the design duration is the float sequential path.
+        let samples = sys.test_data().samples();
+        assert_eq!(sys.evaluate_on(Backend::Float), sys.evaluate_at(samples));
     }
 
     #[test]
     fn batched_evaluate_hw_matches_per_qubit_fidelity_hw() {
         let sys = smoke_system();
-        // `KlinqSystem::evaluate_hw` routes through the batch engine; the
-        // sequential reference is the per-discriminator hw fidelity.
-        let batched = sys.evaluate_hw();
-        for qb in 0..5 {
-            let sequential = sys.discriminator(qb).fidelity_hw(sys.test_data());
-            assert_eq!(batched.qubit(qb), sequential, "qubit {qb} hw fidelity diverged");
-        }
+        assert_batched_evaluate_matches_per_qubit_fidelity(sys, Backend::Hardware);
     }
 
     #[test]
@@ -488,41 +405,6 @@ mod tests {
         for backend in Backend::ALL {
             assert!(batch.classify_shots_on(backend, &[]).is_empty());
         }
-        assert!(batch.classify_shots(&[]).is_empty());
-        assert!(batch.classify_shots_hw(&[]).is_empty());
-    }
-
-    #[test]
-    fn generic_backend_paths_match_legacy_wrappers_bitwise() {
-        let sys = smoke_system();
-        let batch = BatchDiscriminator::new(sys.discriminators());
-        let shots = sys.test_data().shots();
-        // Batch level: the generic entry point and the legacy twins must
-        // produce identical vectors on both backends.
-        assert_eq!(batch.classify_shots_on(Backend::Float, shots), batch.classify_shots(shots));
-        assert_eq!(
-            batch.classify_shots_on(Backend::Hardware, shots),
-            batch.classify_shots_hw(shots)
-        );
-        // Shot level, plus the sequential per-discriminator reference.
-        for shot in shots.iter().take(48) {
-            for backend in Backend::ALL {
-                let states = batch.classify_shot_on(backend, shot);
-                for (qb, t) in shot.traces.iter().enumerate() {
-                    assert_eq!(
-                        states[qb],
-                        sys.discriminator(qb).measure_on(backend, &t.i, &t.q),
-                        "qubit {qb} diverged on {backend}"
-                    );
-                }
-            }
-        }
-        // Report level.
-        assert_eq!(batch.evaluate_on(Backend::Float, sys.test_data()), batch.evaluate(sys.test_data()));
-        assert_eq!(
-            batch.evaluate_on(Backend::Hardware, sys.test_data()),
-            batch.evaluate_hw(sys.test_data())
-        );
     }
 
     #[test]
@@ -571,16 +453,16 @@ mod tests {
             let sys = smoke_system();
             let batch = BatchDiscriminator::new(sys.discriminators()).with_chunk_size(chunk);
             let shots = sys.test_data().shots();
-            let chunked = batch.classify_shots(shots);
+            let chunked = batch.classify_shots_on(Backend::Float, shots);
             for (shot, states) in shots.iter().zip(&chunked) {
-                proptest::prop_assert_eq!(*states, batch.classify_shot(shot));
+                proptest::prop_assert_eq!(*states, batch.classify_shot_on(Backend::Float, shot));
             }
             // The Q16.16 path shares the gather logic; spot-check a prefix
             // that still exercises quads and tails.
             let hw_shots = &shots[..67.min(shots.len())];
             let hw = batch.classify_shots_on(Backend::Hardware, hw_shots);
             for (shot, states) in hw_shots.iter().zip(&hw) {
-                proptest::prop_assert_eq!(*states, batch.classify_shot_hw(shot));
+                proptest::prop_assert_eq!(*states, batch.classify_shot_on(Backend::Hardware, shot));
             }
         }
     }

@@ -1,5 +1,12 @@
 //! The KLiNQ system: independent per-qubit discriminators with a
 //! mid-circuit measurement API.
+//!
+//! Every read takes the datapath as a [`Backend`] value — float
+//! reference or bit-accurate Q16.16 — through one entry point per
+//! operation: [`KlinqDiscriminator::measure_on`] and
+//! [`KlinqDiscriminator::fidelity_on`] per qubit,
+//! [`KlinqSystem::measure_on`] and [`KlinqSystem::evaluate_on`] for the
+//! five-qubit system.
 
 use crate::backend::Backend;
 use crate::distill::{distill_student, DistilledStudent};
@@ -73,8 +80,6 @@ impl KlinqDiscriminator {
     ///
     /// Accepts any trace length down to the averager's output count —
     /// this is what enables mid-circuit measurements at arbitrary times.
-    /// This is the single generic entry point; [`Self::measure`] and
-    /// [`Self::measure_hw`] are compatibility wrappers over it.
     ///
     /// # Panics
     ///
@@ -87,30 +92,6 @@ impl KlinqDiscriminator {
                 .predict(&self.student.pipeline.extract(i, q)),
             Backend::Hardware => self.hw.infer(i, q),
         }
-    }
-
-    /// Reads the qubit state from a raw trace (float reference path).
-    ///
-    /// Compatibility wrapper over [`Self::measure_on`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the traces are shorter than the feature front end allows.
-    #[inline]
-    pub fn measure(&self, i: &[f32], q: &[f32]) -> bool {
-        self.measure_on(Backend::Float, i, q)
-    }
-
-    /// Reads the qubit state through the bit-accurate Q16.16 datapath.
-    ///
-    /// Compatibility wrapper over [`Self::measure_on`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the traces are shorter than the feature front end allows.
-    #[inline]
-    pub fn measure_hw(&self, i: &[f32], q: &[f32]) -> bool {
-        self.measure_on(Backend::Hardware, i, q)
     }
 
     /// Assignment fidelity over a dataset on the chosen backend, reading
@@ -126,22 +107,6 @@ impl KlinqDiscriminator {
             })
             .collect();
         assignment_fidelity(&preds, &labels)
-    }
-
-    /// Float-path assignment fidelity over a dataset at a trace prefix.
-    ///
-    /// Compatibility wrapper over [`Self::fidelity_on`].
-    #[inline]
-    pub fn fidelity_at(&self, data: &ReadoutDataset, samples: usize) -> f64 {
-        self.fidelity_on(Backend::Float, data, samples)
-    }
-
-    /// Hardware-path assignment fidelity over a dataset.
-    ///
-    /// Compatibility wrapper over [`Self::fidelity_on`].
-    #[inline]
-    pub fn fidelity_hw(&self, data: &ReadoutDataset) -> f64 {
-        self.fidelity_on(Backend::Hardware, data, usize::MAX)
     }
 }
 
@@ -308,18 +273,6 @@ impl KlinqSystem {
         self.discriminators[qubit].measure_on(backend, i, q)
     }
 
-    /// Mid-circuit measurement on the float reference path.
-    ///
-    /// Compatibility wrapper over [`Self::measure_on`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `qubit` is out of range or the trace is too short.
-    #[inline]
-    pub fn measure(&self, qubit: usize, i: &[f32], q: &[f32]) -> bool {
-        self.measure_on(Backend::Float, qubit, i, q)
-    }
-
     /// Evaluates all qubits on the held-out set at the design duration,
     /// on the chosen backend.
     ///
@@ -331,16 +284,8 @@ impl KlinqSystem {
             .evaluate_on(backend, &self.test_data)
     }
 
-    /// Float-path evaluation on the held-out set.
-    ///
-    /// Compatibility wrapper over [`Self::evaluate_on`].
-    #[inline]
-    pub fn evaluate(&self) -> FidelityReport {
-        self.evaluate_on(Backend::Float)
-    }
-
     /// Evaluates at a shortened trace length (`samples` per channel)
-    /// using the design-point students on truncated inputs.
+    /// using the design-point students on truncated inputs (float path).
     ///
     /// Note the feature distribution shifts when traces shrink, so this
     /// underestimates the achievable fidelity; the paper's duration sweep
@@ -351,7 +296,7 @@ impl KlinqSystem {
         FidelityReport::new(
             self.discriminators
                 .iter()
-                .map(|d| d.fidelity_at(&self.test_data, samples))
+                .map(|d| d.fidelity_on(Backend::Float, &self.test_data, samples))
                 .collect(),
         )
     }
@@ -366,7 +311,7 @@ impl KlinqSystem {
         let samples = samples.min(self.test_data.samples());
         if samples == self.test_data.samples() {
             // Design point: the trained students are exactly this.
-            return Ok(self.evaluate());
+            return Ok(self.evaluate_on(Backend::Float));
         }
         let students = self.students_at(samples)?;
         let fidelities = students
@@ -464,14 +409,6 @@ impl KlinqSystem {
         })
     }
 
-    /// Evaluates through the bit-accurate FPGA datapath.
-    ///
-    /// Compatibility wrapper over [`Self::evaluate_on`].
-    #[inline]
-    pub fn evaluate_hw(&self) -> FidelityReport {
-        self.evaluate_on(Backend::Hardware)
-    }
-
     /// Baseline-FNN (= teacher) fidelities on the held-out set.
     pub fn evaluate_teachers(&self) -> FidelityReport {
         FidelityReport::new(
@@ -493,7 +430,7 @@ mod tests {
         let sys = smoke_system();
         assert_eq!(sys.discriminators().len(), 5);
         assert_eq!(sys.teachers().len(), 5);
-        let report = sys.evaluate();
+        let report = sys.evaluate_on(Backend::Float);
         // Smoke scale (300 ns traces): demand clearly-better-than-chance
         // overall and solid accuracy on the front-loaded-signal qubit 3,
         // the easiest at this shortened duration.
@@ -521,17 +458,17 @@ mod tests {
             // Full trace and a truncated prefix both produce a decision.
             // FNN-B qubits average 100 points per channel, so the prefix
             // cannot drop below 100 samples (200 ns).
-            let _ = sys.measure(qb, &t.i, &t.q);
+            let _ = sys.measure_on(Backend::Float, qb, &t.i, &t.q);
             let cut = (t.i.len() * 7 / 10).max(100);
-            let _ = sys.measure(qb, &t.i[..cut], &t.q[..cut]);
+            let _ = sys.measure_on(Backend::Float, qb, &t.i[..cut], &t.q[..cut]);
         }
     }
 
     #[test]
     fn hardware_path_tracks_float_path() {
         let sys = smoke_system();
-        let float_report = sys.evaluate();
-        let hw_report = sys.evaluate_hw();
+        let float_report = sys.evaluate_on(Backend::Float);
+        let hw_report = sys.evaluate_on(Backend::Hardware);
         for qb in 0..5 {
             let delta = (float_report.qubit(qb) - hw_report.qubit(qb)).abs();
             assert!(
@@ -540,44 +477,6 @@ mod tests {
                 qb + 1,
                 float_report.qubit(qb),
                 hw_report.qubit(qb)
-            );
-        }
-    }
-
-    #[test]
-    fn backend_wrappers_are_bitwise_identical_to_generic_paths() {
-        let sys = smoke_system();
-        // Per-shot: the legacy twins must agree exactly with `measure_on`
-        // on both backends, for every qubit of a handful of shots.
-        for shot_idx in [0usize, 1, 7, 31] {
-            let shot = sys.test_data().shot(shot_idx);
-            for (qb, t) in shot.traces.iter().enumerate() {
-                let d = sys.discriminator(qb);
-                assert_eq!(d.measure(&t.i, &t.q), d.measure_on(Backend::Float, &t.i, &t.q));
-                assert_eq!(
-                    d.measure_hw(&t.i, &t.q),
-                    d.measure_on(Backend::Hardware, &t.i, &t.q)
-                );
-                assert_eq!(
-                    sys.measure(qb, &t.i, &t.q),
-                    sys.measure_on(Backend::Float, qb, &t.i, &t.q)
-                );
-            }
-        }
-        // Whole-report level: wrappers and generic entry points produce
-        // the exact same `FidelityReport` on both backends.
-        assert_eq!(sys.evaluate(), sys.evaluate_on(Backend::Float));
-        assert_eq!(sys.evaluate_hw(), sys.evaluate_on(Backend::Hardware));
-        let data = sys.test_data();
-        for qb in 0..5 {
-            let d = sys.discriminator(qb);
-            assert_eq!(
-                d.fidelity_at(data, data.samples()),
-                d.fidelity_on(Backend::Float, data, data.samples())
-            );
-            assert_eq!(
-                d.fidelity_hw(data),
-                d.fidelity_on(Backend::Hardware, data, usize::MAX)
             );
         }
     }
@@ -593,8 +492,9 @@ mod tests {
         let rebuilt = sys
             .with_students(students, sys.test_data().samples())
             .unwrap();
-        assert_eq!(rebuilt.evaluate(), sys.evaluate());
-        assert_eq!(rebuilt.evaluate_hw(), sys.evaluate_hw());
+        for backend in Backend::ALL {
+            assert_eq!(rebuilt.evaluate_on(backend), sys.evaluate_on(backend));
+        }
     }
 
     #[test]

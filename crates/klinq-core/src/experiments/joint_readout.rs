@@ -10,6 +10,7 @@
 //! network sees the neighbours' traces and can cancel their interference;
 //! the independent discriminators cannot.
 
+use crate::backend::Backend;
 use crate::discriminator::KlinqSystem;
 use crate::error::KlinqError;
 use crate::experiments::ExperimentConfig;
@@ -73,7 +74,7 @@ pub fn run_with_system(
     let joint = JointDiscriminator::train(&joint_cfg, system.train_data())?;
     let joint_report = joint.evaluate(system.test_data());
     let independent = system.evaluate_teachers();
-    let klinq = system.evaluate();
+    let klinq = system.evaluate_on(Backend::Float);
     Ok(JointComparison {
         joint_per_qubit: joint_report.per_qubit().to_vec(),
         joint_f5q: joint_report.geometric_mean(),

@@ -7,6 +7,7 @@
 //! threshold floor and an 8-bit post-training-quantized baseline FNN
 //! (reference \[10\], which "sacrifices accuracy").
 
+use crate::backend::Backend;
 use crate::baselines::{HerqulesConfig, HerqulesDiscriminator, MfThreshold};
 use crate::discriminator::KlinqSystem;
 use crate::error::KlinqError;
@@ -101,7 +102,7 @@ pub fn run_with_system(
     let samples = test.samples();
 
     let baseline = system.evaluate_teachers();
-    let klinq = system.evaluate();
+    let klinq = system.evaluate_on(Backend::Float);
 
     // HERQULES per qubit (parallel).
     let hq_cfg = HerqulesConfig {

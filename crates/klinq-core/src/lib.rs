@@ -26,15 +26,15 @@
 //!
 //! ```no_run
 //! use klinq_core::experiments::ExperimentConfig;
-//! use klinq_core::KlinqSystem;
+//! use klinq_core::{Backend, KlinqSystem};
 //!
 //! let config = ExperimentConfig::smoke();
 //! let system = KlinqSystem::train(&config)?;
-//! let report = system.evaluate();
+//! let report = system.evaluate_on(Backend::Float);
 //! println!("F5Q = {:.3}", report.geometric_mean());
 //! // Mid-circuit: read qubit 3 alone from a fresh trace.
 //! let shot = system.test_data().shot(0);
-//! let state = system.measure(3, &shot.traces[3].i, &shot.traces[3].q);
+//! let state = system.measure_on(Backend::Float, 3, &shot.traces[3].i, &shot.traces[3].q);
 //! println!("qubit 3 is {}", if state { "|1>" } else { "|0>" });
 //! # Ok::<(), klinq_core::KlinqError>(())
 //! ```
@@ -57,7 +57,7 @@ pub mod teacher;
 pub mod testkit;
 
 pub use backend::Backend;
-pub use batch::{BatchDiscriminator, ShotScratch, ShotStates};
+pub use batch::{BatchDiscriminator, ShotStates};
 pub use discriminator::{KlinqDiscriminator, KlinqSystem};
 pub use error::KlinqError;
 pub use eval::FidelityReport;

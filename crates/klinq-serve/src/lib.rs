@@ -19,6 +19,14 @@
 //! [`measure_on`](klinq_core::KlinqDiscriminator::measure_on) loop would
 //! have produced, on either [`Backend`].
 //!
+//! Each client operation has one entry point, taking per-request
+//! [`RequestOptions`] (lane, tenant, deadline, failover;
+//! `RequestOptions::new()` is a plain bulk request):
+//! [`ReadoutClient::classify_shots_opts`] blocks for the result and
+//! [`ReadoutClient::submit_opts`] delivers it to a callback. The wire
+//! client mirrors them: [`WireClient::classify_shots_opts`] blocks, and
+//! [`WireClient::submit_opts`] / [`WireClient::recv_response`] pipeline.
+//!
 //! Serving at scale adds three layers on the coalescing core:
 //!
 //! - **Scheduling policies**: the intake queue is bounded
@@ -63,14 +71,16 @@
 //! ```no_run
 //! use klinq_core::experiments::ExperimentConfig;
 //! use klinq_core::KlinqSystem;
-//! use klinq_serve::{ReadoutServer, ServeConfig};
+//! use klinq_serve::{ReadoutServer, RequestOptions, ServeConfig};
 //! use std::sync::Arc;
 //!
 //! let system = Arc::new(KlinqSystem::train(&ExperimentConfig::smoke())?);
 //! let shots = system.test_data().shots().to_vec();
 //! let server = ReadoutServer::start(system, ServeConfig::default());
 //! let client = server.client();
-//! let states = client.classify_shots(shots).expect("server alive");
+//! let states = client
+//!     .classify_shots_opts(RequestOptions::new(), shots)
+//!     .expect("server alive");
 //! println!("first shot: {:?}", states[0]);
 //! server.shutdown();
 //! # Ok::<(), klinq_core::KlinqError>(())

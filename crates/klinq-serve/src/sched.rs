@@ -84,9 +84,9 @@ use std::time::{Duration, Instant};
 
 /// Identifies a tenant: an index into [`SchedPolicy::tenants`].
 ///
-/// Tenant ids travel the wire verbatim (protocol v3), so they are plain
-/// `u32`s rather than handles — an unknown id is rejected with a typed
-/// [`crate::ServeError::UnknownTenant`] at submission.
+/// Tenant ids travel the wire verbatim in every request frame, so they
+/// are plain `u32`s rather than handles — an unknown id is rejected with
+/// a typed [`crate::ServeError::UnknownTenant`] at submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct TenantId(pub u32);
 

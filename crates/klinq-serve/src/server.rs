@@ -76,11 +76,6 @@ pub struct ServeConfig {
     /// the queue full is shed with [`ServeError::Overloaded`] instead of
     /// queueing unboundedly behind a saturated collector.
     pub max_pending: usize,
-    /// Optional scheduling chunk-size override forwarded to
-    /// [`BatchDiscriminator::with_chunk_size`] (`None` keeps the
-    /// engine's default). Purely a performance knob — results are
-    /// identical for every value.
-    pub chunk_size: Option<usize>,
     /// Multi-tenant QoS policy: the tenant table and the DRR/deadline
     /// tuning (see [`crate::sched`]). The default is a single
     /// unconstrained tenant — the pre-QoS FIFO behaviour.
@@ -105,7 +100,6 @@ impl Default for ServeConfig {
             max_batch_shots: 1024,
             max_linger: Duration::from_micros(200),
             max_pending: 1024,
-            chunk_size: None,
             sched: SchedPolicy::default(),
             supervise: SuperviseConfig::default(),
             crash: None,
@@ -721,9 +715,13 @@ pub struct ReadoutClient {
 }
 
 impl ReadoutClient {
-    /// Classifies a batch of shots at [`Priority::Throughput`], blocking
+    /// Classifies a batch of shots with per-request [`RequestOptions`]
+    /// (scheduling lane, tenant, optional relative deadline), blocking
     /// until the coalesced result arrives. Response index `i` is always
-    /// shot `i`'s states.
+    /// shot `i`'s states. `RequestOptions::new()` is a bulk
+    /// [`Priority::Throughput`] request of the default tenant; a
+    /// [`Priority::Latency`] request closes its micro-batch immediately
+    /// instead of waiting out the linger window.
     ///
     /// An empty request completes immediately without a server round
     /// trip.
@@ -731,42 +729,15 @@ impl ReadoutClient {
     /// # Errors
     ///
     /// Returns [`ServeError::Closed`] if the server shut down before
-    /// answering, [`ServeError::Overloaded`] if the intake queue was
-    /// full (the request was shed, not queued), or
-    /// [`ServeError::InvalidRequest`] if the shots cannot be classified
-    /// by the serving system (the request is rejected at intake; the
-    /// server keeps running).
-    pub fn classify_shots(&self, shots: Vec<Shot>) -> Result<Vec<ShotStates>, ServeError> {
-        self.classify_shots_with_priority(Priority::Throughput, shots)
-    }
-
-    /// Like [`Self::classify_shots`], with an explicit [`Priority`]:
-    /// `Latency` requests close their micro-batch immediately instead of
-    /// waiting out the linger window.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::classify_shots`].
-    pub fn classify_shots_with_priority(
-        &self,
-        priority: Priority,
-        shots: Vec<Shot>,
-    ) -> Result<Vec<ShotStates>, ServeError> {
-        self.classify_blocking(RequestOptions::new().priority(priority), false, shots)
-    }
-
-    /// Like [`Self::classify_shots`], with full per-request
-    /// [`RequestOptions`]: scheduling lane, tenant, and an optional
-    /// relative deadline.
-    ///
-    /// # Errors
-    ///
-    /// The [`Self::classify_shots`] contract, plus
-    /// [`ServeError::UnknownTenant`] when the options name a tenant
-    /// outside the server's table (rejected synchronously, nothing is
-    /// queued) and [`ServeError::DeadlineExceeded`] when the deadline
-    /// expires before classification completes. A quota shed arrives as
-    /// [`ServeError::Overloaded`] with a retry-after hint.
+    /// answering, [`ServeError::Overloaded`] if the request was shed
+    /// (intake queue full, or a tenant quota shed with a retry-after
+    /// hint), [`ServeError::InvalidRequest`] if the shots cannot be
+    /// classified by the serving system (the request is rejected at
+    /// intake; the server keeps running), [`ServeError::UnknownTenant`]
+    /// when the options name a tenant outside the server's table
+    /// (rejected synchronously, nothing is queued), and
+    /// [`ServeError::DeadlineExceeded`] when the deadline expires before
+    /// classification completes.
     pub fn classify_shots_opts(
         &self,
         opts: RequestOptions,
@@ -776,17 +747,18 @@ impl ReadoutClient {
     }
 
     /// Classifies calibration shots: the result is served exactly like
-    /// [`Self::classify_shots`], but each shot's `prepared` states are
-    /// additionally treated as ground truth and scored against the served
-    /// states, feeding the per-qubit running fidelity/confusion estimates
-    /// in [`ServeStats`] (`calib_*` fields, [`ServeStats::confusion`],
+    /// [`Self::classify_shots_opts`] with default options, but each
+    /// shot's `prepared` states are additionally treated as ground truth
+    /// and scored against the served states, feeding the per-qubit
+    /// running fidelity/confusion estimates in [`ServeStats`] (`calib_*`
+    /// fields, [`ServeStats::confusion`],
     /// [`ServeStats::calibration_fidelity`]). Interleaving a trickle of
     /// calibration shots with production traffic is how an operator
     /// detects drift and validates a candidate model.
     ///
     /// # Errors
     ///
-    /// Same contract as [`Self::classify_shots`].
+    /// Same contract as [`Self::classify_shots_opts`].
     pub fn classify_calibration_shots(
         &self,
         shots: Vec<Shot>,
@@ -821,41 +793,26 @@ impl ReadoutClient {
         Ok(states)
     }
 
-    /// Submits shots without blocking for the result: `on_complete` runs
-    /// exactly once with the coalesced result (on the collector thread)
-    /// once the request's micro-batch executes. This is the submission
-    /// path the wire reactor uses — one event loop, thousands of
-    /// requests in flight, no parked thread per request.
+    /// Submits shots with per-request [`RequestOptions`] without
+    /// blocking for the result: `on_complete` runs exactly once with the
+    /// coalesced result (on the collector thread) once the request's
+    /// micro-batch executes. This is the submission path the wire
+    /// reactor uses — one event loop, thousands of requests in flight, no
+    /// parked thread per request — and it threads tenant identity and
+    /// deadlines through.
     ///
     /// An empty request completes immediately: `on_complete` runs with
     /// `Ok(vec![])` before this returns.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Overloaded`] (request shed, queue full) or
-    /// [`ServeError::Closed`] (server gone) **without** running
-    /// `on_complete` — a rejected submission has no completion. Requests
-    /// that fail later (e.g. [`ServeError::InvalidRequest`] at intake
-    /// validation) deliver their error through `on_complete` instead.
-    pub fn submit_with_priority(
-        &self,
-        priority: Priority,
-        shots: Vec<Shot>,
-        on_complete: impl FnOnce(Result<Vec<ShotStates>, ServeError>) + Send + 'static,
-    ) -> Result<(), ServeError> {
-        self.submit(RequestOptions::new().priority(priority), false, shots, on_complete)
-    }
-
-    /// Like [`Self::submit_with_priority`], with full per-request
-    /// [`RequestOptions`]. This is the submission path the wire reactor
-    /// uses to thread tenant identity and deadlines through.
-    ///
-    /// # Errors
-    ///
-    /// The [`Self::submit_with_priority`] contract, plus
-    /// [`ServeError::UnknownTenant`] — returned synchronously, without
-    /// running `on_complete` — when the options name a tenant outside
-    /// the server's table.
+    /// Returns [`ServeError::Overloaded`] (request shed, queue full),
+    /// [`ServeError::Closed`] (server gone) or
+    /// [`ServeError::UnknownTenant`] (the options name a tenant outside
+    /// the server's table) **without** running `on_complete` — a
+    /// rejected submission has no completion. Requests that fail later
+    /// (e.g. [`ServeError::InvalidRequest`] at intake validation)
+    /// deliver their error through `on_complete` instead.
     pub fn submit_opts(
         &self,
         opts: RequestOptions,
@@ -966,18 +923,6 @@ impl ReadoutClient {
     pub(crate) fn health_report(&self) -> crate::supervise::ShardHealthReport {
         self.link.monitor().report()
     }
-
-    /// Classifies one shot, blocking until its coalesced result arrives.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::classify_shots`].
-    pub fn classify_shot(&self, shot: Shot) -> Result<ShotStates, ServeError> {
-        let states = self.classify_shots(vec![shot])?;
-        // `classify_shots` already rejected length mismatches, so the
-        // indexing below cannot panic.
-        Ok(states[0])
-    }
 }
 
 /// A running micro-batching readout server.
@@ -1004,7 +949,6 @@ impl ReadoutServer {
             config.max_pending > 0,
             "max_pending must be non-zero (a zero-capacity intake queue would shed everything)"
         );
-        assert!(config.chunk_size != Some(0), "chunk size override must be non-zero");
     }
 
     /// Starts the server: spawns the collector thread that owns `system`
@@ -1014,8 +958,8 @@ impl ReadoutServer {
     ///
     /// Panics immediately (not later on the collector thread) if the
     /// configuration is unusable: a zero `max_batch_shots`, a zero
-    /// `max_pending`, a zero `chunk_size` override, or an unusable
-    /// scheduling policy (no tenants, a zero weight, quantum or quota).
+    /// `max_pending`, or an unusable scheduling policy (no tenants, a
+    /// zero weight, quantum or quota).
     pub fn start(system: Arc<KlinqSystem>, config: ServeConfig) -> Self {
         Self::assert_config(&config);
         // Built here — not on the collector thread — so an unusable
@@ -1445,12 +1389,8 @@ impl Model {
     /// is a borrow wrapper rebuilt per batch (construction is a handful
     /// of asserts), which is what lets the owned system swap between
     /// batches.
-    fn classify(&self, config: &ServeConfig, shots: &[Shot]) -> Vec<ShotStates> {
-        let mut batch = BatchDiscriminator::new(self.system.discriminators());
-        if let Some(chunk) = config.chunk_size {
-            batch = batch.with_chunk_size(chunk);
-        }
-        batch.classify_shots_on(config.backend, shots)
+    fn classify(&self, backend: Backend, shots: &[Shot]) -> Vec<ShotStates> {
+        BatchDiscriminator::new(self.system.discriminators()).classify_shots_on(backend, shots)
     }
 }
 
@@ -1726,7 +1666,7 @@ fn replay_solo(
         let solo = if poison[i] {
             None
         } else {
-            match catch_unwind(AssertUnwindSafe(|| active.classify(config, slice))) {
+            match catch_unwind(AssertUnwindSafe(|| active.classify(config.backend, slice))) {
                 Ok(states) => Some(states),
                 Err(_) => {
                     counters.monitor.note_panic();
@@ -1828,11 +1768,11 @@ fn run_batch(
                 c.acc += c.fraction;
                 if c.acc >= 1.0 {
                     c.acc -= 1.0;
-                    canary_states = Some(c.model.classify(config, &shots));
+                    canary_states = Some(c.model.classify(config.backend, &shots));
                 }
             }
         }
-        let primary_states = active.classify(config, &shots);
+        let primary_states = active.classify(config.backend, &shots);
         (canary_states, primary_states)
     }));
     let (canary_states, primary_states) = match outcome {

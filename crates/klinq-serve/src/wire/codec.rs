@@ -7,24 +7,21 @@
 //!
 //! | type | body |
 //! |------|------|
-//! | `1` request  | device `u16`, priority `u8`, *(v3+)* tenant `u32` + deadline `u64` (µs, `0` = none), *(v4+)* flags `u8` (bit 0 = allow failover), shot count `u32`, shots (per shot: trace count `u16`; per trace: I count `u32`, I samples `f32`×nᵢ, Q count `u32`, Q samples `f32`×n_q) |
+//! | `1` request  | device `u16`, priority `u8`, tenant `u32`, deadline `u64` (µs, `0` = none), flags `u8` (bit 0 = allow failover), shot count `u32`, shots (per shot: trace count `u16`; per trace: I count `u32`, I samples `f32`×nᵢ, Q count `u32`, Q samples `f32`×n_q) |
 //! | `2` response | shot count `u32`, one `u8` five-qubit state mask per shot |
-//! | `3` error    | kind `u8` ([`ServeError`] variant), message (`u32` length + UTF-8), *(kind/version-specific extras — see below)* |
-//! | `4` health   | *(v4+, header only)* fleet health query |
-//! | `5` health report | *(v4+)* shard count `u16`; per shard: health `u8` ([`ShardHealth`] wire code), restarts `u64`, downs `u64` |
+//! | `3` error    | kind `u8` ([`ServeError`] variant), message (`u32` length + UTF-8), *(kind-specific extras — see below)* |
+//! | `4` health   | *(header only)* fleet health query |
+//! | `5` health report | shard count `u16`; per shard: health `u8` ([`ShardHealth`] wire code), restarts `u64`, downs `u64` |
 //!
-//! Version 3 added multi-tenant QoS: requests carry a tenant id and an
-//! optional relative deadline, and two error kinds carry typed extras —
-//! `Overloaded` (kind 2, v3 frames only) is followed by a `u64`
-//! retry-after hint in µs (`0` = no hint), and `UnknownTenant` (kind 8)
-//! by the offending tenant id as a `u32`. Version 4 added the
-//! supervision story: a request flags byte (bit 0 opts the request into
-//! health-aware failover), the fleet health query/report pair, and two
-//! error kinds (`Poisoned` = 9, `ShardDown` = 10). Decoding stays
-//! **version-tolerant**: v2 frames (no tenant/deadline fields, no
-//! `Overloaded` extra) still decode — a v2 request is simply the default
-//! tenant with no deadline — and a v3 request simply carries no flags
-//! (no failover), so PR-6/7/8 clients keep working unmodified.
+//! Two error kinds carry typed extras: `Overloaded` (kind 2) is followed
+//! by a `u64` retry-after hint in µs (`0` = no hint), and
+//! `UnknownTenant` (kind 8) by the offending tenant id as a `u32`.
+//!
+//! The decoder accepts exactly one protocol version, 4: every peer is
+//! built from this repository, so there is no older frame layout to
+//! tolerate. A frame of any other version — including the older v1–v3
+//! layouts — gets a typed [`WireError::UnsupportedVersion`], the
+//! version-skew error, instead of silent frame corruption.
 //!
 //! The request id is what makes **pipelining** work: a client may put
 //! many requests in flight on one connection, and the server is free to
@@ -32,10 +29,7 @@
 //! echoes its request's id. Clients choose their own ids (the reference
 //! client counts up from 1); id `0` ([`CONNECTION_REQ_ID`]) is reserved
 //! for connection-level error frames that answer undecodable bytes,
-//! which belong to no request. Version 1 of the protocol (PR 5) had no
-//! request id and one blocking request in flight per connection; a v1
-//! peer gets a typed [`WireError::UnsupportedVersion`] — the
-//! version-skew error — instead of silent frame corruption.
+//! which belong to no request.
 //!
 //! I and Q carry separate counts so that even a ragged trace (I and Q
 //! lengths differing — which intake validation rejects) crosses the
@@ -56,22 +50,14 @@ use klinq_sim::device::NUM_QUBITS;
 use klinq_sim::trajectory::StateEvolution;
 use klinq_sim::{IqTrace, Shot};
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// Frame payload magic: `"KQ"` little-endian.
 pub(crate) const MAGIC: u16 = 0x514B;
-/// Protocol version this build speaks. Version 2 added the per-message
-/// request id (pipelining); version 3 added tenant ids, deadlines, and
-/// error-frame extras; version 4 added the request flags byte
-/// (failover opt-in), the fleet health query, and the
-/// `Poisoned`/`ShardDown` error kinds. Frames older than
-/// [`MIN_WIRE_VERSION`] (v1 had no request id) fail with a typed
+/// The one protocol version this build speaks and decodes; frames of
+/// any other version fail with a typed
 /// [`WireError::UnsupportedVersion`].
 pub(crate) const WIRE_VERSION: u8 = 4;
-/// Oldest protocol version this build still decodes. v2 request frames
-/// carry no tenant/deadline fields and decode as the default tenant
-/// with no deadline.
-pub(crate) const MIN_WIRE_VERSION: u8 = 2;
 /// Refuse frames larger than this (256 MiB): a garbage length prefix
 /// must produce a typed error, not a giant allocation.
 pub(crate) const MAX_FRAME: u32 = 256 * 1024 * 1024;
@@ -94,25 +80,17 @@ const MSG_ERROR: u8 = 3;
 const MSG_HEALTH: u8 = 4;
 const MSG_HEALTH_REPORT: u8 = 5;
 
-/// Request flags (v4+): bit 0 opts the request into health-aware
+/// Request flags: bit 0 opts the request into health-aware
 /// failover to a healthy peer shard when its own shard is `Down`.
 const FLAG_ALLOW_FAILOVER: u8 = 1;
 
-/// Why bytes could not be read or decoded as a protocol message.
+/// Why bytes could not be decoded as a protocol message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
-    /// The underlying transport failed.
-    Io(String),
-    /// A configured deadline expired before the operation finished —
-    /// connecting, or reading a full frame. After a read timeout the
-    /// stream position is unreliable (a partial frame may have been
-    /// consumed), so the connection should be discarded.
-    Timeout,
     /// The payload does not start with the protocol magic.
     BadMagic(u16),
     /// The peer speaks a protocol version this build does not — the
-    /// typed version-skew error (e.g. a PR-5 v1 client against a v2
-    /// server).
+    /// typed version-skew error.
     UnsupportedVersion(u8),
     /// The header's message type is unknown.
     UnknownMessage(u8),
@@ -135,8 +113,6 @@ pub enum WireError {
 impl fmt::Display for WireError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::Io(msg) => write!(f, "wire I/O failed: {msg}"),
-            Self::Timeout => write!(f, "wire operation timed out"),
             Self::BadMagic(got) => write!(f, "bad frame magic {got:#06x} (expected {MAGIC:#06x})"),
             Self::UnsupportedVersion(v) => {
                 write!(f, "unsupported wire protocol version {v} (this build speaks {WIRE_VERSION})")
@@ -167,15 +143,14 @@ pub enum WireMessage {
         /// Scheduling lane (see [`Priority`]).
         priority: Priority,
         /// Tenant the request bills to (index into the server's
-        /// [`SchedPolicy`](crate::sched::SchedPolicy) tenant table).
-        /// v2 frames decode as `0`, the default tenant.
+        /// [`SchedPolicy`](crate::sched::SchedPolicy) tenant table);
+        /// `0` is the default tenant.
         tenant: u32,
         /// Relative deadline in microseconds from server receipt; `0`
-        /// means no deadline. v2 frames decode as `0`.
+        /// means no deadline.
         deadline_us: u64,
         /// Whether the request may fail over to a healthy peer shard
-        /// when its own shard is `Down` (v4 flags bit 0; older frames
-        /// decode as `false`).
+        /// when its own shard is `Down` (flags bit 0).
         allow_failover: bool,
         /// The shots to classify. Decoded shots carry only traces (the
         /// wire sends no labels); `prepared`/`evolutions` are defaulted.
@@ -282,16 +257,9 @@ fn encode_request_body(
     }
 }
 
-/// Encodes a classification request payload for the default tenant with
-/// no deadline and no failover (see [`encode_request_opts`] for the
-/// full v3/v4 fields).
-pub fn encode_request(req_id: u64, device: u16, priority: Priority, shots: &[Shot]) -> Vec<u8> {
-    encode_request_opts(req_id, device, priority, 0, 0, false, shots)
-}
-
-/// Encodes a classification request payload with the v3 QoS fields —
-/// the tenant the request bills to and its relative deadline in
-/// microseconds (`0` = none) — and the v4 failover opt-in flag.
+/// Encodes a classification request payload: the tenant the request
+/// bills to, its relative deadline in microseconds (`0` = none), and
+/// the failover opt-in flag ride with the shots.
 pub fn encode_request_opts(
     req_id: u64,
     device: u16,
@@ -324,10 +292,14 @@ pub fn encode_request_opts(
 ///
 /// # Errors
 ///
-/// Returns the would-be payload size when it exceeds [`MAX_FRAME`]
-/// (leaving `out` empty): refused before any byte is sent, because a
-/// `usize` length silently cast to `u32` would wrap for ≥ 4 GiB
-/// payloads and desync the peer.
+/// [`ServeError::InvalidRequest`] (leaving `out` empty) for a request
+/// the peer's decoder would reject — more than [`MAX_REQUEST_SHOTS`]
+/// shots, or a shot of more than `u16::MAX` traces, whose count would
+/// wrap in its `u16` field — and for a payload over [`MAX_FRAME`],
+/// whose `usize` length would wrap in the `u32` prefix for ≥ 4 GiB.
+/// Refusing here keeps one bad request from costing the whole
+/// connection: the server answers undecodable bytes with a
+/// connection-level error.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn encode_request_frame_into(
     out: &mut Vec<u8>,
@@ -338,8 +310,23 @@ pub(crate) fn encode_request_frame_into(
     deadline_us: u64,
     allow_failover: bool,
     shots: &[Shot],
-) -> Result<(), usize> {
+) -> Result<(), ServeError> {
     out.clear();
+    if shots.len() > MAX_REQUEST_SHOTS as usize {
+        return Err(ServeError::InvalidRequest(format!(
+            "request of {} shots exceeds the {MAX_REQUEST_SHOTS}-shot limit",
+            shots.len()
+        )));
+    }
+    if let Some((idx, shot)) =
+        shots.iter().enumerate().find(|(_, s)| s.traces.len() > usize::from(u16::MAX))
+    {
+        return Err(ServeError::InvalidRequest(format!(
+            "shot {idx} carries {} traces (limit {})",
+            shot.traces.len(),
+            u16::MAX
+        )));
+    }
     out.reserve(4 + request_wire_size(shots));
     out.extend_from_slice(&[0u8; 4]);
     encode_request_body(
@@ -355,7 +342,9 @@ pub(crate) fn encode_request_frame_into(
     let len = out.len() - 4;
     if len > MAX_FRAME as usize {
         out.clear();
-        return Err(len);
+        return Err(ServeError::InvalidRequest(format!(
+            "frame of {len} bytes exceeds the {MAX_FRAME}-byte bound"
+        )));
     }
     out[..4].copy_from_slice(&(len as u32).to_le_bytes());
     Ok(())
@@ -413,7 +402,7 @@ pub fn encode_error(req_id: u64, error: &ServeError) -> Vec<u8> {
     out
 }
 
-/// Encodes a fleet health query (header-only, v4+).
+/// Encodes a fleet health query (header-only).
 pub fn encode_health(req_id: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(12);
     header(MSG_HEALTH, req_id, &mut out);
@@ -531,7 +520,7 @@ pub fn decode_message(payload: &[u8]) -> Result<WireMessage, WireError> {
         return Err(WireError::BadMagic(magic));
     }
     let version = cur.u8()?;
-    if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
+    if version != WIRE_VERSION {
         return Err(WireError::UnsupportedVersion(version));
     }
     let msg_type = cur.u8()?;
@@ -546,25 +535,13 @@ pub fn decode_message(payload: &[u8]) -> Result<WireMessage, WireError> {
                     return Err(WireError::Malformed(format!("unknown priority byte {other}")))
                 }
             };
-            // Version tolerance: v2 requests carry no QoS fields and
-            // mean "default tenant, no deadline"; pre-v4 requests carry
-            // no flags and mean "no failover".
-            let (tenant, deadline_us) = if version >= 3 {
-                (cur.u32()?, cur.u64()?)
-            } else {
-                (0, 0)
-            };
-            let allow_failover = if version >= 4 {
-                let flags = cur.u8()?;
-                if flags & !FLAG_ALLOW_FAILOVER != 0 {
-                    return Err(WireError::Malformed(format!(
-                        "unknown request flags {flags:#04x}"
-                    )));
-                }
-                flags & FLAG_ALLOW_FAILOVER != 0
-            } else {
-                false
-            };
+            let tenant = cur.u32()?;
+            let deadline_us = cur.u64()?;
+            let flags = cur.u8()?;
+            if flags & !FLAG_ALLOW_FAILOVER != 0 {
+                return Err(WireError::Malformed(format!("unknown request flags {flags:#04x}")));
+            }
+            let allow_failover = flags & FLAG_ALLOW_FAILOVER != 0;
             let n_shots = cur.u32()?;
             if n_shots > MAX_REQUEST_SHOTS {
                 return Err(WireError::Malformed(format!(
@@ -628,19 +605,12 @@ pub fn decode_message(payload: &[u8]) -> Result<WireMessage, WireError> {
             let error = match kind {
                 0 => ServeError::Closed,
                 1 => ServeError::InvalidRequest(msg),
-                2 => {
-                    // The retry-after extra exists only on v3 frames; a
-                    // v2 `Overloaded` simply carries no hint.
-                    let retry_after = if version >= 3 {
-                        match cur.u64()? {
-                            0 => None,
-                            us => Some(std::time::Duration::from_micros(us)),
-                        }
-                    } else {
-                        None
-                    };
-                    ServeError::Overloaded { retry_after }
-                }
+                2 => ServeError::Overloaded {
+                    retry_after: match cur.u64()? {
+                        0 => None,
+                        us => Some(std::time::Duration::from_micros(us)),
+                    },
+                },
                 3 => ServeError::Protocol(msg),
                 4 => ServeError::Timeout,
                 // Like `Timeout`, `Disconnected` is normally produced
@@ -697,7 +667,7 @@ pub fn decode_message(payload: &[u8]) -> Result<WireMessage, WireError> {
 ///
 /// The reactor appends this to a connection's write buffer; blocking
 /// paths hand it straight to `write_all`. Keeping prefix and payload in
-/// a single buffer matters even there: a separate prefix write puts
+/// a single buffer matters there: a separate prefix write puts
 /// every exchange into the classic write-write-read pattern, where
 /// Nagle holds the payload until the peer's delayed ACK (~40 ms)
 /// acknowledges the prefix segment — observed as a ~7 K shots/s wire
@@ -709,99 +679,16 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Writes one length-prefixed frame and flushes.
-///
-/// # Errors
-///
-/// Propagates the transport's I/O error; a payload over the frame-size
-/// bound is refused with [`io::ErrorKind::InvalidInput`] before any
-/// byte is sent — a `usize` length silently cast to `u32` would wrap
-/// for ≥ 4 GiB payloads and desync the peer.
-pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > MAX_FRAME as usize {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!(
-                "frame of {} bytes exceeds the {MAX_FRAME}-byte bound",
-                payload.len()
-            ),
-        ));
-    }
-    w.write_all(&frame(payload))?;
-    w.flush()
-}
-
-/// Reads one length-prefixed frame payload. Returns `Ok(None)` on a
-/// clean end-of-stream at a frame boundary (the peer closed between
-/// messages).
-///
-/// # Errors
-///
-/// [`WireError::Truncated`] if the stream ends mid-frame,
-/// [`WireError::FrameTooLarge`] for an oversized length prefix,
-/// [`WireError::Timeout`] when a configured read deadline expires
-/// (after which the stream position is unreliable — discard the
-/// connection), and [`WireError::Io`] for other transport failures.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, WireError> {
-    let mut len_buf = [0u8; 4];
-    match read_exact_or_eof(r, &mut len_buf)? {
-        0 => return Ok(None),
-        4 => {}
-        got => {
-            return Err(WireError::Truncated {
-                expected: 4,
-                have: got,
-            })
-        }
-    }
-    let len = u32::from_le_bytes(len_buf);
-    if len > MAX_FRAME {
-        return Err(WireError::FrameTooLarge(len));
-    }
-    let mut payload = vec![0u8; len as usize];
-    let got = read_exact_or_eof(r, &mut payload)?;
-    if got != payload.len() {
-        return Err(WireError::Truncated {
-            expected: payload.len(),
-            have: got,
-        });
-    }
-    Ok(Some(payload))
-}
-
-/// Fills `buf` from the reader, returning how many bytes arrived before
-/// end-of-stream (a short count means EOF, not an error).
-fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize, WireError> {
-    let mut got = 0;
-    while got < buf.len() {
-        match r.read(&mut buf[got..]) {
-            Ok(0) => break,
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            // A blocking socket with a read deadline (SO_RCVTIMEO)
-            // reports expiry as WouldBlock on unix, TimedOut on windows.
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                return Err(WireError::Timeout)
-            }
-            Err(e) => return Err(WireError::Io(e.to_string())),
-        }
-    }
-    Ok(got)
-}
-
 // ---------------------------------------------------------------------
 // Incremental reassembly
 // ---------------------------------------------------------------------
 
 /// Reassembles length-prefixed frames from a non-blocking byte stream.
 ///
-/// The reactor reads whatever bytes a readiness event delivers and
-/// [`extend`](Self::extend)s the assembler with them; complete frames
-/// come back out of [`next_frame`](Self::next_frame) one at a time,
-/// however the bytes were fragmented in transit. The oversized-length
+/// Readers land whatever bytes a read delivers in the assembler with
+/// [`read_from`](Self::read_from); complete frames come back out of
+/// [`next_frame_ref`](Self::next_frame_ref) one at a time, however the
+/// bytes were fragmented in transit. The oversized-length
 /// check runs as soon as a prefix is visible, so a hostile peer cannot
 /// grow the buffer toward a 256 MiB frame before being refused.
 #[derive(Debug, Default)]
@@ -848,14 +735,6 @@ impl FrameAssembler {
         }
     }
 
-    /// Appends bytes read from the transport.
-    pub fn extend(&mut self, bytes: &[u8]) {
-        self.compact();
-        self.reserve_filled(bytes.len());
-        self.buf[self.filled..self.filled + bytes.len()].copy_from_slice(bytes);
-        self.filled += bytes.len();
-    }
-
     /// Reads up to `max` bytes from `r` straight into the reassembly
     /// buffer — the read path lands bytes where the frames are
     /// extracted from, with no intermediate chunk buffer to copy
@@ -879,26 +758,16 @@ impl FrameAssembler {
         self.filled - self.consumed
     }
 
-    /// Extracts the next complete frame payload, `Ok(None)` if more
-    /// bytes are needed.
+    /// Extracts the next complete frame payload as a borrow of the
+    /// internal buffer, `Ok(None)` if more bytes are needed. The reactor
+    /// decodes straight from this slice, so bulk request payloads are
+    /// never copied out of the reassembly buffer first.
     ///
     /// # Errors
     ///
     /// [`WireError::FrameTooLarge`] when a visible length prefix exceeds
     /// the frame bound — the stream is poisoned and the connection must
     /// be dropped.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
-        Ok(self.next_frame_ref()?.map(<[u8]>::to_vec))
-    }
-
-    /// Like [`next_frame`](Self::next_frame), returning the payload as
-    /// a borrow of the internal buffer. The reactor decodes straight
-    /// from this slice, so bulk request payloads are never copied out
-    /// of the reassembly buffer first.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`next_frame`](Self::next_frame).
     pub fn next_frame_ref(&mut self) -> Result<Option<&[u8]>, WireError> {
         let avail = &self.buf[self.consumed..self.filled];
         if avail.len() < 4 {

@@ -16,27 +16,28 @@
 //! - [`reactor`]: the readiness-driven event loop serving thousands of
 //!   connections from one thread ([`WireServer`], [`WireConfig`],
 //!   [`Transport`]).
-//! - this module: the [`WireClient`], with blocking convenience calls
-//!   and a pipelined submit/receive API.
+//! - this module: the [`WireClient`], with one blocking call
+//!   ([`WireClient::classify_shots_opts`]) and a pipelined
+//!   submit/receive pair.
 //!
 //! The [`WireServer`] submits each decoded request through an ordinary
 //! in-process [`ReadoutClient`](crate::ReadoutClient) bound to the
 //! request's device shard, so **wire requests take exactly the
 //! in-process coalescing path**: responses are bitwise-identical to a
-//! local `classify_shots` call, and wire traffic coalesces into the
+//! local `classify_shots_opts` call, and wire traffic coalesces into the
 //! same micro-batches as in-process traffic. I/Q samples travel as
 //! IEEE-754 little-endian bits, so no value is ever re-quantized in
 //! transit.
 //!
 //! # Pipelining
 //!
-//! Since protocol version 2 every frame carries a request id, so one
-//! connection can hold many requests in flight and the server answers
-//! in whatever order the micro-batches complete. [`WireClient::submit`]
-//! sends without waiting; [`WireClient::recv_response`] returns the
-//! next completed `(request id, result)` pair, whichever request it
-//! belongs to. The blocking `classify_*` calls are small wrappers that
-//! submit one request and wait for its id.
+//! Every frame carries a request id, so one connection can hold many
+//! requests in flight and the server answers in whatever order the
+//! micro-batches complete. [`WireClient::submit_opts`] sends without
+//! waiting; [`WireClient::recv_response`] returns the next completed
+//! `(request id, result)` pair, whichever request it belongs to.
+//! [`WireClient::classify_shots_opts`] submits one request and waits
+//! for its id.
 //!
 //! # Surviving disconnects
 //!
@@ -49,25 +50,25 @@
 //! classification is pure — equal shots give bitwise-equal states, on
 //! either model version, with no server-side state keyed to the request
 //! — resubmitting a disconnected request is idempotent, so the blocking
-//! `classify_*` wrappers retry it automatically **under the same
-//! request id**. Pipelining callers driving [`WireClient::submit`] /
-//! [`WireClient::recv_response`] directly decide for themselves which
-//! `Disconnected` results to resubmit. A server that answers
-//! [`ServeError::Draining`] is *refusing* work, not losing it, so
-//! nothing auto-retries against it.
+//! [`WireClient::classify_shots_opts`] retries it automatically **under
+//! the same request id**. Pipelining callers driving
+//! [`WireClient::submit_opts`] / [`WireClient::recv_response`] directly
+//! decide for themselves which `Disconnected` results to resubmit. A
+//! server that answers [`ServeError::Draining`] is *refusing* work, not
+//! losing it, so nothing auto-retries against it.
 
 pub mod codec;
 mod conn;
 pub mod reactor;
 
 pub use codec::{
-    decode_message, encode_error, encode_request, encode_response, read_frame, write_frame,
-    FrameAssembler, WireError, WireMessage, CONNECTION_REQ_ID, MAX_REQUEST_SHOTS,
+    decode_message, encode_error, encode_response, FrameAssembler, WireError, WireMessage,
+    CONNECTION_REQ_ID, MAX_REQUEST_SHOTS,
 };
 pub use reactor::{Transport, WireConfig, WireServer};
 
 use crate::sched::RequestOptions;
-use crate::server::{Priority, ServeError};
+use crate::server::ServeError;
 use crate::supervise::ShardHealthReport;
 use klinq_core::ShotStates;
 use klinq_sim::Shot;
@@ -87,7 +88,8 @@ use std::time::Duration;
 pub struct ReconnectPolicy {
     /// Connect attempts per reconnect cycle before giving up with
     /// [`ServeError::Disconnected`]. Also bounds how many times a
-    /// blocking `classify_*` call resubmits one request.
+    /// blocking [`WireClient::classify_shots_opts`] call resubmits one
+    /// request.
     pub max_attempts: u32,
     /// Sleep after the first failed attempt; doubles per failure.
     pub base_delay: Duration,
@@ -124,10 +126,11 @@ fn jitter_next(state: &mut u64) -> u64 {
 }
 
 /// A wire client bound to one device shard at connect time — the same
-/// blocking call surface as the in-process
-/// [`ReadoutClient`](crate::ReadoutClient) (`classify_shots` /
-/// `classify_shot` / `classify_shots_with_priority`, returning the same
-/// [`ServeError`]s), plus the pipelined [`submit`](Self::submit) /
+/// blocking call as the in-process
+/// [`ReadoutClient`](crate::ReadoutClient)
+/// ([`classify_shots_opts`](Self::classify_shots_opts), returning the
+/// same [`ServeError`]s), plus the pipelined
+/// [`submit_opts`](Self::submit_opts) /
 /// [`recv_response`](Self::recv_response) pair for keeping many
 /// requests in flight on one connection.
 ///
@@ -238,8 +241,9 @@ impl WireClient {
 
     /// Bounds every receive: once set, a wait in
     /// [`recv_response`](Self::recv_response) (or the blocking
-    /// `classify_*` wrappers) fails with [`ServeError::Timeout`] instead
-    /// of hanging forever on a server that accepted but never replies.
+    /// [`classify_shots_opts`](Self::classify_shots_opts)) fails with
+    /// [`ServeError::Timeout`] instead of hanging forever on a server
+    /// that accepted but never replies.
     ///
     /// A timeout that expires mid-frame poisons the connection; the
     /// client notices and reconnects on the next send (see
@@ -330,81 +334,29 @@ impl WireClient {
         self.pending.len() + self.ready.len()
     }
 
-    /// Submits a classification request at [`Priority::Throughput`]
-    /// without waiting for the result; returns the request id to match
-    /// against [`recv_response`](Self::recv_response). Many submits may
-    /// be in flight at once — that is the point.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Disconnected`] if the transport failed (after
-    /// exhausting the [`ReconnectPolicy`], when one is set), or
-    /// [`ServeError::InvalidRequest`] for a request over the frame-size
-    /// bound (refused before any byte is sent).
-    pub fn submit(&mut self, shots: &[Shot]) -> Result<u64, ServeError> {
-        self.submit_with_priority(Priority::Throughput, shots)
-    }
-
-    /// Like [`Self::submit`], with an explicit [`Priority`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::submit`].
-    pub fn submit_with_priority(
-        &mut self,
-        priority: Priority,
-        shots: &[Shot],
-    ) -> Result<u64, ServeError> {
-        self.submit_opts(RequestOptions::new().priority(priority), shots)
-    }
-
-    /// Like [`Self::submit`], with full [`RequestOptions`] — priority,
-    /// tenant, and deadline travel in the v3 request frame. An unknown
-    /// or oversized tenant id is answered by the *server* with a typed
-    /// per-request [`ServeError::UnknownTenant`] error frame through
+    /// Submits a classification request with per-request
+    /// [`RequestOptions`] (priority, tenant, deadline, failover) to the
+    /// device bound at connect time, without waiting for the result;
+    /// returns the request id to match against
+    /// [`recv_response`](Self::recv_response). Many submits may be in
+    /// flight at once — that is the point. An unknown tenant id is
+    /// answered by the *server* with a typed per-request
+    /// [`ServeError::UnknownTenant`] error frame through
     /// [`recv_response`](Self::recv_response) — the connection stays up
     /// and every other in-flight request completes normally.
     ///
     /// # Errors
     ///
-    /// Same contract as [`Self::submit`].
+    /// [`ServeError::Disconnected`] if the transport failed (after
+    /// exhausting the [`ReconnectPolicy`], when one is set), or
+    /// [`ServeError::InvalidRequest`] for a request the server's decoder
+    /// would reject — over the frame-size bound, over
+    /// [`MAX_REQUEST_SHOTS`], or with a shot of more than `u16::MAX`
+    /// traces (refused before any byte is sent, so the requests already
+    /// in flight are untouched).
     pub fn submit_opts(&mut self, opts: RequestOptions, shots: &[Shot]) -> Result<u64, ServeError> {
-        self.submit_to_opts(self.device, opts, shots)
-    }
-
-    /// Like [`Self::submit_with_priority`], overriding the device bound
-    /// at connect time: the protocol routes per request, so one
-    /// pipelined connection can spread work across a fleet's shards.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::submit`]. (An out-of-range device is
-    /// answered by the *server* with [`ServeError::InvalidRequest`]
-    /// through [`recv_response`](Self::recv_response), like any other
-    /// per-request failure.)
-    pub fn submit_to(
-        &mut self,
-        device: u16,
-        priority: Priority,
-        shots: &[Shot],
-    ) -> Result<u64, ServeError> {
-        self.submit_to_opts(device, RequestOptions::new().priority(priority), shots)
-    }
-
-    /// Like [`Self::submit_opts`], overriding the device bound at
-    /// connect time.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::submit`].
-    pub fn submit_to_opts(
-        &mut self,
-        device: u16,
-        opts: RequestOptions,
-        shots: &[Shot],
-    ) -> Result<u64, ServeError> {
         let req_id = self.next_req_id;
-        self.send_request(req_id, device, opts, shots)?;
+        self.send_request(req_id, opts, shots)?;
         self.next_req_id += 1;
         Ok(req_id)
     }
@@ -420,39 +372,29 @@ impl WireClient {
 
     /// Encodes and writes one request frame under `req_id`, tracking it
     /// as pending. Shared by fresh submits (a new id each) and the
-    /// blocking wrappers' idempotent resubmits (the *same* id again on
-    /// a reconnected stream).
+    /// blocking call's idempotent resubmits (the *same* id again on a
+    /// reconnected stream).
     fn send_request(
         &mut self,
         req_id: u64,
-        device: u16,
         opts: RequestOptions,
         shots: &[Shot],
     ) -> Result<(), ServeError> {
         self.ensure_connected()?;
         // Encoded straight into its frame, in the reused scratch
         // buffer: one buffer, one write, no second payload copy and no
-        // per-request allocation on the submit path.
+        // per-request allocation on the submit path. A request the
+        // server's decoder would reject is the request's own problem,
+        // not the transport's — refused before any byte goes out.
         codec::encode_request_frame_into(
             &mut self.tx,
             req_id,
-            device,
+            self.device,
             opts.priority,
             opts.tenant.0,
             Self::deadline_us(opts),
             opts.allow_failover,
             shots,
-        )
-        .map_err(
-            // Over the frame-size bound: the request itself is the
-            // problem, not the transport — refused before any byte
-            // goes out.
-            |len| {
-                ServeError::InvalidRequest(format!(
-                    "frame of {len} bytes exceeds the {}-byte bound",
-                    codec::MAX_FRAME
-                ))
-            },
         )?;
         for _ in 0..2 {
             if self.stream.write_all(&self.tx).is_ok() {
@@ -680,53 +622,30 @@ impl WireClient {
         }
     }
 
-    /// Classifies a batch of shots over the wire at
-    /// [`Priority::Throughput`], blocking until the result arrives;
-    /// response index `i` is shot `i`'s states, bitwise-identical to an
-    /// in-process `classify_shots` call against the same shard.
+    /// Classifies a batch of shots over the wire with per-request
+    /// [`RequestOptions`], blocking until the result arrives; response
+    /// index `i` is shot `i`'s states, bitwise-identical to an
+    /// in-process call against the same shard. The request bills to
+    /// `opts.tenant`'s queue on the server and, when `opts.deadline` is
+    /// set, is answered with a typed [`ServeError::DeadlineExceeded`]
+    /// instead of stale states if it cannot be served in time.
     ///
     /// An empty request completes without a server round trip.
     ///
     /// # Errors
     ///
     /// The server's own [`ServeError`]s pass through (`Closed`,
-    /// `Overloaded`, `InvalidRequest`, `Draining`); expired read
+    /// `Overloaded` — with the server's retry-after hint when a tenant
+    /// quota shed the request — `InvalidRequest`, `Draining`,
+    /// `UnknownTenant`, `DeadlineExceeded`); requests the server's
+    /// decoder would reject fail with [`ServeError::InvalidRequest`]
+    /// before any byte is sent (see [`Self::submit_opts`]); expired read
     /// deadlines surface as [`ServeError::Timeout`] and protocol
     /// violations as [`ServeError::Protocol`]. A transport failure is
     /// retried idempotently under the same request id (reconnecting
     /// per the [`ReconnectPolicy`]) and surfaces as
     /// [`ServeError::Disconnected`] only once the policy is exhausted
     /// (or reconnection is disabled).
-    pub fn classify_shots(&mut self, shots: &[Shot]) -> Result<Vec<ShotStates>, ServeError> {
-        self.classify_shots_with_priority(Priority::Throughput, shots)
-    }
-
-    /// Like [`Self::classify_shots`], with an explicit [`Priority`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::classify_shots`].
-    pub fn classify_shots_with_priority(
-        &mut self,
-        priority: Priority,
-        shots: &[Shot],
-    ) -> Result<Vec<ShotStates>, ServeError> {
-        self.classify_shots_opts(RequestOptions::new().priority(priority), shots)
-    }
-
-    /// Like [`Self::classify_shots`], with full [`RequestOptions`]: the
-    /// request bills to `opts.tenant`'s queue on the server and, when
-    /// `opts.deadline` is set, is answered with a typed
-    /// [`ServeError::DeadlineExceeded`] instead of stale states if it
-    /// cannot be served in time.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::classify_shots`], plus the typed QoS
-    /// errors: [`ServeError::UnknownTenant`],
-    /// [`ServeError::DeadlineExceeded`], and [`ServeError::Overloaded`]
-    /// carrying the server's retry-after hint when the tenant's quota
-    /// shed the request.
     pub fn classify_shots_opts(
         &mut self,
         opts: RequestOptions,
@@ -756,21 +675,10 @@ impl WireClient {
                         .is_some_and(|p| resubmits < p.max_attempts) =>
                 {
                     resubmits += 1;
-                    self.send_request(want, self.device, opts, shots)?;
+                    self.send_request(want, opts, shots)?;
                 }
                 done => return done,
             }
         }
-    }
-
-    /// Classifies one shot over the wire.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::classify_shots`].
-    pub fn classify_shot(&mut self, shot: &Shot) -> Result<ShotStates, ServeError> {
-        let states = self.classify_shots(std::slice::from_ref(shot))?;
-        // `classify_shots` already rejected length mismatches.
-        Ok(states[0])
     }
 }

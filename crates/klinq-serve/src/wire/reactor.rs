@@ -18,7 +18,7 @@
 //!   `KLINQ_WIRE_TRANSPORT=fallback`.
 //!
 //! Requests decoded from a connection are submitted through the
-//! in-process [`ReadoutClient::submit_with_priority`] path with a
+//! in-process [`ReadoutClient::submit_opts`] path with a
 //! completion callback, so wire traffic coalesces into the same
 //! micro-batches as in-process traffic and results stay
 //! bitwise-identical to `classify_shots_on` — only the transport

@@ -6,11 +6,11 @@
 //! connection close, accept backpressure re-registration).
 
 use klinq_core::testkit;
-use klinq_core::{BatchDiscriminator, KlinqSystem, ShotStates};
+use klinq_core::{Backend, BatchDiscriminator, KlinqSystem, ShotStates};
 use klinq_serve::chaos::Chaos;
 use klinq_serve::{
-    wire, Priority, ServeConfig, ServeError, ShardedReadoutServer, Transport, WireClient,
-    WireConfig, WireServer,
+    wire, Priority, RequestOptions, ServeConfig, ServeError, ShardedReadoutServer, Transport,
+    WireClient, WireConfig, WireServer,
 };
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -31,6 +31,20 @@ fn system() -> Arc<KlinqSystem> {
     }))
 }
 
+/// Reads one whole frame payload off a blocking socket through the
+/// reassembly buffer; `Ok(None)` if the peer hung up first.
+fn recv_frame(raw: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
+    let mut asm = wire::FrameAssembler::new();
+    loop {
+        if let Some(frame) = asm.next_frame_ref().expect("frame length within bounds") {
+            return Ok(Some(frame.to_vec()));
+        }
+        if asm.read_from(raw, 64 * 1024)? == 0 {
+            return Ok(None);
+        }
+    }
+}
+
 /// The distinguishable alternate model (output layers negated).
 fn variant() -> Arc<KlinqSystem> {
     static SYS: OnceLock<Arc<KlinqSystem>> = OnceLock::new();
@@ -38,7 +52,7 @@ fn variant() -> Arc<KlinqSystem> {
 }
 
 fn direct(sys: &KlinqSystem, shots: &[klinq_sim::Shot]) -> Vec<ShotStates> {
-    BatchDiscriminator::new(sys.discriminators()).classify_shots(shots)
+    BatchDiscriminator::new(sys.discriminators()).classify_shots_on(Backend::Float, shots)
 }
 
 /// Both readiness mechanisms, so every scenario exercises the epoll
@@ -96,8 +110,15 @@ fn soak_on(transport: Transport, seed: u64) {
                 let Ok(mut raw) = TcpStream::connect(addr) else {
                     break;
                 };
-                let payload =
-                    wire::encode_request(1, 0, Priority::Throughput, std::slice::from_ref(&shot));
+                let payload = wire::codec::encode_request_opts(
+                    1,
+                    0,
+                    Priority::Throughput,
+                    0,
+                    0,
+                    false,
+                    std::slice::from_ref(&shot),
+                );
                 let framed = wire::codec::frame(&payload);
                 match kind % 3 {
                     0 => {
@@ -116,7 +137,7 @@ fn soak_on(transport: Transport, seed: u64) {
                         raw.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
                         // Any decodable frame is fine (a response from
                         // whichever model is live); a lost reply is not.
-                        let frame = wire::read_frame(&mut raw)
+                        let frame = recv_frame(&mut raw)
                             .expect("dribbled request answered, not poisoned")
                             .expect("dribbled request answered, not hung up on");
                         wire::decode_message(&frame).expect("server frames stay decodable");
@@ -173,7 +194,9 @@ fn soak_on(transport: Transport, seed: u64) {
                     let on_a = direct(&primary, slice);
                     let on_b = direct(&alt, slice);
                     assert_ne!(on_a, on_b, "slice at {start} must distinguish the models");
-                    let id = client.submit(slice).expect("submit under chaos");
+                    let id = client
+                        .submit_opts(RequestOptions::new(), slice)
+                        .expect("submit under chaos");
                     assert!(
                         expected.insert(id, (on_a, on_b)).is_none(),
                         "request id {id} issued twice"
@@ -266,7 +289,7 @@ fn graceful_drain_answers_in_flight_and_refuses_new_work() {
         let mut expected: HashMap<u64, Vec<ShotStates>> = HashMap::new();
         for r in &slices {
             let slice = &all_shots[r.clone()];
-            let id = client.submit(slice).unwrap();
+            let id = client.submit_opts(RequestOptions::new(), slice).unwrap();
             expected.insert(id, direct(&sys, slice));
         }
         // …then shut down mid-pipeline. `shutdown` waits briefly for
@@ -277,7 +300,7 @@ fn graceful_drain_answers_in_flight_and_refuses_new_work() {
 
         // New work on the existing connection is refused typed, per
         // request — the connection itself stays up for its answers.
-        let late_id = client.submit(&all_shots[9..10]).unwrap();
+        let late_id = client.submit_opts(RequestOptions::new(), &all_shots[9..10]).unwrap();
         // A new connection is answered with a connection-level Draining
         // frame, surfacing as the outer error.
         let mut late_conn = WireClient::connect(addr, 0).expect("drain still accepts to refuse");
@@ -285,7 +308,7 @@ fn graceful_drain_answers_in_flight_and_refuses_new_work() {
         late_conn
             .set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
-        late_conn.submit(&all_shots[0..1]).unwrap();
+        late_conn.submit_opts(RequestOptions::new(), &all_shots[0..1]).unwrap();
         match late_conn.recv_response() {
             Err(ServeError::Draining) => {}
             other => panic!("{transport:?}: expected Draining for a late connection, got {other:?}"),
@@ -321,7 +344,8 @@ fn graceful_drain_answers_in_flight_and_refuses_new_work() {
 fn a_lost_connection_surfaces_disconnected_then_reconnects_with_backoff() {
     let sys = system();
     let shot = sys.test_data().shot(0).clone();
-    let want = BatchDiscriminator::new(sys.discriminators()).classify_shot(&shot);
+    let want =
+        BatchDiscriminator::new(sys.discriminators()).classify_shot_on(Backend::Float, &shot);
 
     // A listener that never accepts stands in for a server about to
     // die: the client handshakes against the kernel backlog, submits,
@@ -332,7 +356,7 @@ fn a_lost_connection_surfaces_disconnected_then_reconnects_with_backoff() {
     client
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    let id = client.submit(std::slice::from_ref(&shot)).unwrap();
+    let id = client.submit_opts(RequestOptions::new(), std::slice::from_ref(&shot)).unwrap();
     // Closing the listener tears down the backlogged connection — the
     // in-flight request must surface as a typed per-request
     // `Disconnected`, never a panic or a silent hang.
@@ -358,8 +382,8 @@ fn a_lost_connection_surfaces_disconnected_then_reconnects_with_backoff() {
         .expect("rescue server starts")
     });
     let got = client
-        .classify_shot(&shot)
-        .expect("reconnect under backoff reaches the rescued server");
+        .classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&shot))
+        .expect("reconnect under backoff reaches the rescued server")[0];
     assert_eq!(got, want, "reconnected result must match direct");
     let (server, fleet) = rescue.join().expect("rescue thread");
     server.shutdown();
@@ -376,7 +400,8 @@ fn a_completion_racing_connection_close_is_dropped_not_delivered() {
     for transport in transports() {
         let sys = system();
         let shot = sys.test_data().shot(2).clone();
-        let want = BatchDiscriminator::new(sys.discriminators()).classify_shot(&shot);
+        let want =
+            BatchDiscriminator::new(sys.discriminators()).classify_shot_on(Backend::Float, &shot);
         let fleet = ShardedReadoutServer::start(
             vec![system()],
             ServeConfig {
@@ -395,7 +420,7 @@ fn a_completion_racing_connection_close_is_dropped_not_delivered() {
         )
         .unwrap();
         let mut doomed = WireClient::connect(server.local_addr(), 0).unwrap();
-        doomed.submit(std::slice::from_ref(&shot)).unwrap();
+        doomed.submit_opts(RequestOptions::new(), std::slice::from_ref(&shot)).unwrap();
         // Hang up while the request sits in the fleet's open batch.
         drop(doomed);
         std::thread::sleep(Duration::from_millis(500));
@@ -406,7 +431,9 @@ fn a_completion_racing_connection_close_is_dropped_not_delivered() {
             .set_read_timeout(Some(Duration::from_secs(30)))
             .unwrap();
         assert_eq!(
-            fresh.classify_shot(&shot).expect("reactor survived the race"),
+            fresh
+                .classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&shot))
+                .expect("reactor survived the race")[0],
             want,
             "{transport:?}"
         );
@@ -425,7 +452,8 @@ fn accept_backpressure_reregisters_after_every_freed_slot() {
     for transport in transports() {
         let sys = system();
         let shot = sys.test_data().shot(1).clone();
-        let want = BatchDiscriminator::new(sys.discriminators()).classify_shot(&shot);
+        let want =
+            BatchDiscriminator::new(sys.discriminators()).classify_shot_on(Backend::Float, &shot);
         let fleet = ShardedReadoutServer::start(vec![system()], ServeConfig::default());
         let server = WireServer::start_with(
             &fleet,
@@ -444,7 +472,9 @@ fn accept_backpressure_reregisters_after_every_freed_slot() {
                 .set_read_timeout(Some(Duration::from_secs(30)))
                 .unwrap();
             assert_eq!(
-                client.classify_shot(&shot).expect("served at budget"),
+                client
+                    .classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&shot))
+                    .expect("served at budget")[0],
                 want,
                 "{transport:?} cycle {cycle}"
             );

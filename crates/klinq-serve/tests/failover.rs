@@ -9,7 +9,7 @@
 //! partially corrupt deploy bundle boots the fleet degraded and heals
 //! from disk.
 
-use klinq_core::{persist, testkit, BatchDiscriminator, KlinqSystem, ShotStates};
+use klinq_core::{persist, testkit, Backend, BatchDiscriminator, KlinqSystem, ShotStates};
 use klinq_serve::{
     CrashFaults, RequestOptions, ServeConfig, ServeError, ShardHealth, ShardedReadoutServer,
     SuperviseConfig, Transport, WireClient, WireConfig, WireServer,
@@ -39,7 +39,7 @@ fn variant() -> Arc<KlinqSystem> {
 }
 
 fn direct(sys: &KlinqSystem, shots: &[klinq_sim::Shot]) -> Vec<ShotStates> {
-    BatchDiscriminator::new(sys.discriminators()).classify_shots(shots)
+    BatchDiscriminator::new(sys.discriminators()).classify_shots_on(Backend::Float, shots)
 }
 
 fn transports() -> Vec<Transport> {
@@ -259,7 +259,7 @@ fn failover_routes_in_process_and_opt_out_stays_typed() {
         },
     );
     let client = fleet.client(0);
-    assert_eq!(client.classify_shots(shots.clone()).unwrap(), want);
+    assert_eq!(client.classify_shots_opts(RequestOptions::new(), shots.clone()).unwrap(), want);
 
     fleet.kill_shard(0).expect("inject the crash");
     assert!(
@@ -276,10 +276,10 @@ fn failover_routes_in_process_and_opt_out_stays_typed() {
         want
     );
     assert!(matches!(
-        client.classify_shots(shots.clone()),
+        client.classify_shots_opts(RequestOptions::new(), shots.clone()),
         Err(ServeError::ShardDown)
     ));
-    assert_eq!(fleet.client(1).classify_shots(shots).unwrap(), want);
+    assert_eq!(fleet.client(1).classify_shots_opts(RequestOptions::new(), shots).unwrap(), want);
 
     let stats = fleet.stats();
     assert!(stats.failovers >= 1, "{stats:?}");
@@ -310,7 +310,10 @@ fn counters_stay_monotonic_across_restart_and_swap() {
     );
     let client = fleet.client(0);
     for _ in 0..3 {
-        assert_eq!(client.classify_shots(shots.clone()).unwrap(), on_primary);
+        assert_eq!(
+            client.classify_shots_opts(RequestOptions::new(), shots.clone()).unwrap(),
+            on_primary
+        );
     }
     let before = fleet.stats();
     assert_eq!(before.model_version, 1);
@@ -325,7 +328,10 @@ fn counters_stay_monotonic_across_restart_and_swap() {
         }),
         "shard never recovered"
     );
-    assert_eq!(client.classify_shots(shots.clone()).unwrap(), on_primary);
+    assert_eq!(
+        client.classify_shots_opts(RequestOptions::new(), shots.clone()).unwrap(),
+        on_primary
+    );
     let after = fleet.stats();
     assert_eq!(after.requests, before.requests + 1, "requests reset by restart");
     assert!(after.shots >= before.shots + shots.len() as u64, "shots reset");
@@ -339,7 +345,7 @@ fn counters_stay_monotonic_across_restart_and_swap() {
     // gauge survives the restart.
     let v2 = fleet.swap_model(0, Arc::clone(&alt)).expect("swap accepted");
     assert_eq!(v2, 2);
-    assert_eq!(client.classify_shots(shots.clone()).unwrap(), on_alt);
+    assert_eq!(client.classify_shots_opts(RequestOptions::new(), shots.clone()).unwrap(), on_alt);
     let restarts_before = fleet.stats().restarts;
     fleet.kill_shard(0).expect("inject the second crash");
     assert!(
@@ -349,7 +355,7 @@ fn counters_stay_monotonic_across_restart_and_swap() {
         "shard never recovered from the second crash"
     );
     assert_eq!(
-        client.classify_shots(shots).unwrap(),
+        client.classify_shots_opts(RequestOptions::new(), shots).unwrap(),
         on_alt,
         "restart resumed the pre-swap model"
     );
@@ -383,7 +389,7 @@ fn poisoned_requests_are_quarantined_and_batchmates_replayed() {
         for slice in slices {
             let (tx, rx) = mpsc::channel();
             client
-                .submit_with_priority(klinq_serve::Priority::Throughput, slice.clone(), move |r| {
+                .submit_opts(RequestOptions::new(), slice.clone(), move |r| {
                     let _ = tx.send(r);
                 })
                 .expect("submission accepted");
@@ -470,7 +476,9 @@ fn transient_batch_panics_are_correctness_transparent() {
     for i in 0..20 {
         let slice = &shots[i * 2..i * 2 + 2];
         assert_eq!(
-            client.classify_shots(slice.to_vec()).expect("replay answers everyone"),
+            client
+                .classify_shots_opts(RequestOptions::new(), slice.to_vec())
+                .expect("replay answers everyone"),
             direct(&sys, slice),
             "request {i} corrupted by a transient panic"
         );
@@ -528,9 +536,12 @@ fn corrupt_device_boots_degraded_and_heals_from_disk() {
 
     // The intact shard serves; the quarantined one answers typed, or
     // hands opted-in requests to its healthy peer.
-    assert_eq!(fleet.client(0).classify_shots(shots.clone()).unwrap(), want);
+    assert_eq!(
+        fleet.client(0).classify_shots_opts(RequestOptions::new(), shots.clone()).unwrap(),
+        want
+    );
     assert!(matches!(
-        fleet.client(1).classify_shots(shots.clone()),
+        fleet.client(1).classify_shots_opts(RequestOptions::new(), shots.clone()),
         Err(ServeError::ShardDown)
     ));
     assert_eq!(
@@ -549,7 +560,7 @@ fn corrupt_device_boots_degraded_and_heals_from_disk() {
         wait_for(Duration::from_secs(30), || serving(fleet.health(1))),
         "shard never healed after the artifact was repaired"
     );
-    assert_eq!(fleet.client(1).classify_shots(shots).unwrap(), want);
+    assert_eq!(fleet.client(1).classify_shots_opts(RequestOptions::new(), shots).unwrap(), want);
     let stats = fleet.stats();
     assert!(stats.restarts >= 1, "{stats:?}");
     fleet.shutdown();

@@ -9,8 +9,10 @@
 //! the primary's, so a response tells us exactly which model served it.
 
 use klinq_core::testkit;
-use klinq_core::{BatchDiscriminator, KlinqSystem, ShotStates};
-use klinq_serve::{Priority, ReadoutServer, ServeConfig, ServeError, ShardedReadoutServer};
+use klinq_core::{Backend, BatchDiscriminator, KlinqSystem, ShotStates};
+use klinq_serve::{
+    Priority, ReadoutServer, RequestOptions, ServeConfig, ServeError, ShardedReadoutServer,
+};
 use proptest::prelude::*;
 use std::path::Path;
 use std::sync::mpsc;
@@ -35,7 +37,7 @@ fn variant() -> Arc<KlinqSystem> {
 }
 
 fn direct(sys: &KlinqSystem, shots: &[klinq_sim::Shot]) -> Vec<ShotStates> {
-    BatchDiscriminator::new(sys.discriminators()).classify_shots(shots)
+    BatchDiscriminator::new(sys.discriminators()).classify_shots_on(Backend::Float, shots)
 }
 
 #[test]
@@ -48,17 +50,17 @@ fn swap_model_switches_decisions_and_bumps_the_version() {
     let server = ReadoutServer::start(system(), ServeConfig::default());
     assert_eq!(server.model_version(), 1);
     let client = server.client();
-    assert_eq!(client.classify_shots(shots.clone()).unwrap(), on_a);
+    assert_eq!(client.classify_shots_opts(RequestOptions::new(), shots.clone()).unwrap(), on_a);
 
     let v2 = server.swap_model(variant()).expect("swap accepted");
     assert_eq!(v2, 2);
     assert_eq!(server.model_version(), 2);
-    assert_eq!(client.classify_shots(shots.clone()).unwrap(), on_b);
+    assert_eq!(client.classify_shots_opts(RequestOptions::new(), shots.clone()).unwrap(), on_b);
 
     // And back: blue/green rollback is the same move.
     let v3 = server.swap_model(system()).expect("swap back accepted");
     assert_eq!(v3, 3);
-    assert_eq!(client.classify_shots(shots).unwrap(), on_a);
+    assert_eq!(client.classify_shots_opts(RequestOptions::new(), shots).unwrap(), on_a);
 
     let stats = server.shutdown();
     assert_eq!(stats.model_swaps, 2);
@@ -72,8 +74,14 @@ fn sharded_swap_touches_only_its_device() {
     let on_b = direct(&variant(), &shots);
     let fleet = ShardedReadoutServer::start(vec![system(), system()], ServeConfig::default());
     assert_eq!(fleet.swap_model(1, variant()).unwrap(), 2);
-    assert_eq!(fleet.client(0).classify_shots(shots.clone()).unwrap(), on_a);
-    assert_eq!(fleet.client(1).classify_shots(shots.clone()).unwrap(), on_b);
+    assert_eq!(
+        fleet.client(0).classify_shots_opts(RequestOptions::new(), shots.clone()).unwrap(),
+        on_a
+    );
+    assert_eq!(
+        fleet.client(1).classify_shots_opts(RequestOptions::new(), shots.clone()).unwrap(),
+        on_b
+    );
     assert_eq!(fleet.model_version(0), 1);
     assert_eq!(fleet.model_version(1), 2);
     fleet.shutdown();
@@ -122,7 +130,7 @@ proptest! {
                 let tag = submitted;
                 let tx = done_tx.clone();
                 client
-                    .submit_with_priority(Priority::Throughput, shots, move |result| {
+                    .submit_opts(RequestOptions::new(), shots, move |result| {
                         let _ = tx.send((tag, result));
                     })
                     .expect("intake open");
@@ -185,7 +193,9 @@ fn concurrent_swaps_never_produce_a_mixed_response() {
             barrier.wait();
             let mut seen = [false; 2];
             for _ in 0..rounds {
-                let got = client.classify_shots(shots.clone()).expect("server alive");
+                let got = client
+                    .classify_shots_opts(RequestOptions::new(), shots.clone())
+                    .expect("server alive");
                 if got == on_a {
                     seen[0] = true;
                 } else if got == on_b {
@@ -226,7 +236,7 @@ fn an_identity_swap_is_accepted_and_keeps_serving() {
     let server = ReadoutServer::start(system(), ServeConfig::default());
     assert_eq!(server.swap_model(system()).expect("swap accepted"), 2);
     let shot = system().test_data().shot(0).clone();
-    server.client().classify_shot(shot).expect("still serving");
+    server.client().classify_shots_opts(RequestOptions::new(), vec![shot]).expect("still serving");
     server.shutdown();
 }
 
@@ -255,7 +265,7 @@ fn canary_lane_splits_traffic_and_reports_divergence() {
     let n = 8;
     for _ in 0..n {
         let got = client
-            .classify_shots_with_priority(Priority::Latency, slice.clone())
+            .classify_shots_opts(RequestOptions::new().priority(Priority::Latency), slice.clone())
             .expect("served");
         if got == on_b {
             canary_served += 1;
@@ -280,7 +290,7 @@ fn canary_lane_splits_traffic_and_reports_divergence() {
     let v2 = server.promote_canary().expect("promotion accepted");
     assert_eq!(v2, 2);
     for _ in 0..3 {
-        assert_eq!(client.classify_shots(slice.clone()).unwrap(), on_b);
+        assert_eq!(client.classify_shots_opts(RequestOptions::new(), slice.clone()).unwrap(), on_b);
     }
     // The lane is empty again.
     assert!(matches!(
@@ -304,7 +314,7 @@ fn canary_fraction_bounds_are_enforced_client_side() {
     assert!(server.abort_canary().unwrap());
     let shots = system().test_data().shots()[..3].to_vec();
     assert_eq!(
-        server.client().classify_shots(shots.clone()).unwrap(),
+        server.client().classify_shots_opts(RequestOptions::new(), shots.clone()).unwrap(),
         direct(&system(), &shots)
     );
     server.shutdown();
@@ -320,7 +330,7 @@ fn a_staged_canary_survives_a_primary_swap() {
     server.stage_canary(variant(), 1.0).expect("staged");
     server.swap_model(system()).expect("primary swapped under canary");
     assert_eq!(
-        server.client().classify_shots(slice).unwrap(),
+        server.client().classify_shots_opts(RequestOptions::new(), slice).unwrap(),
         on_b,
         "the staged canary was lost in the swap"
     );

@@ -132,7 +132,7 @@ fn unknown_tenant_is_rejected_synchronously_in_process() {
         .expect_err("tenant 7 is not in the default single-tenant table");
     assert_eq!(err, ServeError::UnknownTenant(7));
     // The server is unharmed: the default tenant still serves.
-    assert_eq!(client.classify_shots(shots).expect("served").len(), 2);
+    assert_eq!(client.classify_shots_opts(RequestOptions::new(), shots).expect("served").len(), 2);
     server.shutdown();
 }
 

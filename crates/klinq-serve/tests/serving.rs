@@ -4,9 +4,9 @@
 
 use klinq_core::testkit;
 use klinq_core::{Backend, BatchDiscriminator, KlinqSystem};
-use klinq_serve::{Priority, ReadoutServer, ServeConfig, ServeError};
+use klinq_serve::{Priority, ReadoutServer, RequestOptions, ServeConfig, ServeError};
 use std::path::Path;
-use std::sync::{Arc, Barrier, OnceLock};
+use std::sync::{mpsc, Arc, Barrier, OnceLock};
 use std::time::{Duration, Instant};
 
 /// The shared smoke system (disk-cached across the workspace's test
@@ -32,8 +32,12 @@ fn single_client_matches_direct_batch_on_both_backends() {
                 ..ServeConfig::default()
             },
         );
-        let served = server.client().classify_shots(shots.clone()).expect("server alive");
-        let direct = BatchDiscriminator::new(sys.discriminators()).classify_shots_on(backend, &shots);
+        let served = server
+            .client()
+            .classify_shots_opts(RequestOptions::new(), shots.clone())
+            .expect("server alive");
+        let direct =
+            BatchDiscriminator::new(sys.discriminators()).classify_shots_on(backend, &shots);
         assert_eq!(served, direct, "served results diverged on {backend}");
         let stats = server.shutdown();
         assert_eq!(stats.shots, shots.len() as u64);
@@ -45,7 +49,8 @@ fn single_client_matches_direct_batch_on_both_backends() {
 fn four_concurrent_clients_each_get_their_own_results() {
     let sys = system();
     let shots = sys.test_data().shots();
-    let direct = BatchDiscriminator::new(sys.discriminators()).classify_shots(shots);
+    let direct =
+        BatchDiscriminator::new(sys.discriminators()).classify_shots_on(Backend::Float, shots);
 
     // Generous linger so the four clients' requests actually coalesce.
     let server = ReadoutServer::start(
@@ -72,7 +77,9 @@ fn four_concurrent_clients_each_get_their_own_results() {
                         .collect();
                     let mine: Vec<_> = indices.iter().map(|&i| shots[i].clone()).collect();
                     barrier.wait();
-                    let states = client.classify_shots(mine).expect("server alive");
+                    let states = client
+                        .classify_shots_opts(RequestOptions::new(), mine)
+                        .expect("server alive");
                     assert_eq!(states.len(), indices.len());
                     for (k, &i) in indices.iter().enumerate() {
                         assert_eq!(states[k], direct[i], "client {c} shot {i} diverged");
@@ -108,8 +115,12 @@ fn oversized_request_is_never_split() {
             ..ServeConfig::default()
         },
     );
-    let served = server.client().classify_shots(shots.clone()).expect("server alive");
-    let direct = BatchDiscriminator::new(sys.discriminators()).classify_shots(&shots);
+    let served = server
+        .client()
+        .classify_shots_opts(RequestOptions::new(), shots.clone())
+        .expect("server alive");
+    let direct =
+        BatchDiscriminator::new(sys.discriminators()).classify_shots_on(Backend::Float, &shots);
     assert_eq!(served, direct);
     let stats = server.shutdown();
     assert_eq!(stats.batches, 1);
@@ -122,11 +133,17 @@ fn single_shot_api_and_empty_requests() {
     let shot = sys.test_data().shot(5).clone();
     let server = ReadoutServer::start(system(), ServeConfig::default());
     let client = server.client();
-    let states = client.classify_shot(shot.clone()).expect("server alive");
-    let direct = BatchDiscriminator::new(sys.discriminators()).classify_shot(&shot);
+    let states = client
+        .classify_shots_opts(RequestOptions::new(), vec![shot.clone()])
+        .expect("server alive")[0];
+    let direct =
+        BatchDiscriminator::new(sys.discriminators()).classify_shot_on(Backend::Float, &shot);
     assert_eq!(states, direct);
     // Empty requests complete locally without touching the server.
-    assert!(client.classify_shots(Vec::new()).expect("empty ok").is_empty());
+    assert!(client
+        .classify_shots_opts(RequestOptions::new(), Vec::new())
+        .expect("empty ok")
+        .is_empty());
     let stats = server.shutdown();
     assert_eq!(stats.requests, 1);
 }
@@ -148,10 +165,13 @@ fn huge_linger_does_not_panic_the_collector() {
             ..ServeConfig::default()
         },
     );
-    let states = server.client().classify_shot(shot.clone()).expect("server alive");
+    let states = server
+        .client()
+        .classify_shots_opts(RequestOptions::new(), vec![shot.clone()])
+        .expect("server alive")[0];
     assert_eq!(
         states,
-        BatchDiscriminator::new(sys.discriminators()).classify_shot(&shot)
+        BatchDiscriminator::new(sys.discriminators()).classify_shot_on(Backend::Float, &shot)
     );
     server.shutdown();
 }
@@ -163,7 +183,8 @@ fn shutdown_mid_coalesce_answers_the_in_flight_batch() {
     // batch and answer it, not strand the client.
     let sys = system();
     let shots = sys.test_data().shots()[..3].to_vec();
-    let direct = BatchDiscriminator::new(sys.discriminators()).classify_shots(&shots);
+    let direct =
+        BatchDiscriminator::new(sys.discriminators()).classify_shots_on(Backend::Float, &shots);
     let server = ReadoutServer::start(
         system(),
         ServeConfig {
@@ -174,7 +195,8 @@ fn shutdown_mid_coalesce_answers_the_in_flight_batch() {
     );
     let client = server.client();
     std::thread::scope(|scope| {
-        let handle = scope.spawn(|| client.classify_shots(shots.clone()));
+        let handle =
+            scope.spawn(|| client.classify_shots_opts(RequestOptions::new(), shots.clone()));
         // Let the request open its batch before shutting down.
         std::thread::sleep(Duration::from_millis(200));
         let stats = server.shutdown();
@@ -202,12 +224,12 @@ fn latency_priority_skips_the_linger_window() {
     let client = server.client();
     let start = Instant::now();
     let states = client
-        .classify_shots_with_priority(Priority::Latency, vec![shot.clone()])
+        .classify_shots_opts(RequestOptions::new().priority(Priority::Latency), vec![shot.clone()])
         .expect("server alive");
     let elapsed = start.elapsed();
     assert_eq!(
         states[0],
-        BatchDiscriminator::new(sys.discriminators()).classify_shot(&shot)
+        BatchDiscriminator::new(sys.discriminators()).classify_shot_on(Backend::Float, &shot)
     );
     assert!(
         elapsed < Duration::from_secs(60),
@@ -222,7 +244,8 @@ fn latency_priority_skips_the_linger_window() {
 fn latency_arrival_closes_a_lingering_batch() {
     let sys = system();
     let shots = sys.test_data().shots();
-    let direct = BatchDiscriminator::new(sys.discriminators()).classify_shots(shots);
+    let direct =
+        BatchDiscriminator::new(sys.discriminators()).classify_shots_on(Backend::Float, shots);
     let server = ReadoutServer::start(
         system(),
         ServeConfig {
@@ -234,13 +257,17 @@ fn latency_arrival_closes_a_lingering_batch() {
     std::thread::scope(|scope| {
         let throughput_client = server.client();
         let bulk: Vec<_> = shots[..4].to_vec();
-        let bulk_handle = scope.spawn(move || throughput_client.classify_shots(bulk));
+        let bulk_handle =
+            scope.spawn(move || throughput_client.classify_shots_opts(RequestOptions::new(), bulk));
         // Give the throughput request time to open its batch and start
         // lingering, then let a latency request cut the linger short.
         std::thread::sleep(Duration::from_millis(200));
         let latency_client = server.client();
         let states = latency_client
-            .classify_shots_with_priority(Priority::Latency, vec![shots[7].clone()])
+            .classify_shots_opts(
+                RequestOptions::new().priority(Priority::Latency),
+                vec![shots[7].clone()],
+            )
             .expect("server alive");
         assert_eq!(states[0], direct[7]);
         // The bulk request rode in the same expedited batch.
@@ -285,21 +312,29 @@ fn full_intake_queue_sheds_with_overloaded() {
         let big_client = server.client();
         let big_request = {
             let big = big.clone();
-            scope.spawn(move || big_client.classify_shots(big))
+            scope.spawn(move || big_client.classify_shots_opts(RequestOptions::new(), big))
         };
-        // Let the collector dequeue the big request and start
-        // classifying (it parks in `recv`, so pickup is immediate; the
-        // classification itself takes far longer than this sleep).
+        // Wait until the collector has admitted the big request (its
+        // tenant's peak backlog shows it) — validating that many shots
+        // takes a while. From there only a drain of the empty intake
+        // queue lies between admission and classification, which takes
+        // far longer than this sleep.
+        while server.tenant_stats()[0].peak_queued_shots < big.len() as u64 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         std::thread::sleep(Duration::from_millis(30));
-        let queued_client = server.client();
-        let queued = {
-            let shot = shots[0].clone();
-            scope.spawn(move || queued_client.classify_shot(shot))
-        };
-        std::thread::sleep(Duration::from_millis(10));
+        // Take the one queue slot: `submit_opts` returns once queued.
+        let (queued_tx, queued_rx) = mpsc::channel();
+        server
+            .client()
+            .submit_opts(RequestOptions::new(), vec![shots[0].clone()], move |result| {
+                let _ = queued_tx.send(result);
+            })
+            .expect("the queue slot is free");
         // Queue slot taken and the collector is busy: shed, immediately.
         let start = Instant::now();
-        let overflow = server.client().classify_shot(shots[1].clone());
+        let overflow =
+            server.client().classify_shots_opts(RequestOptions::new(), vec![shots[1].clone()]);
         // A channel-full shed has no backlog estimate, so no hint.
         assert_eq!(overflow, Err(ServeError::Overloaded { retry_after: None }));
         assert!(
@@ -307,7 +342,7 @@ fn full_intake_queue_sheds_with_overloaded() {
             "shedding must not wait for the collector"
         );
         // The queued request is answered once the collector frees up.
-        let state = queued.join().expect("queued thread").expect("server alive");
+        let state = queued_rx.recv().expect("queued request answered").expect("server alive")[0];
         assert_eq!(
             state,
             BatchDiscriminator::new(sys.discriminators())
@@ -328,7 +363,8 @@ fn oversized_requests_scatter_one_to_one() {
     // states back — never a merged or split scatter.
     let sys = system();
     let shots = sys.test_data().shots();
-    let direct = BatchDiscriminator::new(sys.discriminators()).classify_shots(shots);
+    let direct =
+        BatchDiscriminator::new(sys.discriminators()).classify_shots_on(Backend::Float, shots);
     let half = shots.len() / 2;
     let server = ReadoutServer::start(
         system(),
@@ -344,7 +380,14 @@ fn oversized_requests_scatter_one_to_one() {
             .map(|(lo, hi)| {
                 let client = server.client();
                 let mine = shots[lo..hi].to_vec();
-                scope.spawn(move || (lo, client.classify_shots(mine).expect("server alive")))
+                scope.spawn(move || {
+                    (
+                        lo,
+                        client
+                            .classify_shots_opts(RequestOptions::new(), mine)
+                            .expect("server alive"),
+                    )
+                })
             })
             .collect();
         for handle in handles {
@@ -365,7 +408,10 @@ fn clients_fail_fast_after_shutdown() {
     let server = ReadoutServer::start(system(), ServeConfig::default());
     let client = server.client();
     server.shutdown();
-    assert_eq!(client.classify_shot(shot), Err(ServeError::Closed));
+    assert_eq!(
+        client.classify_shots_opts(RequestOptions::new(), vec![shot]),
+        Err(ServeError::Closed)
+    );
 }
 
 #[test]
@@ -380,7 +426,7 @@ fn malformed_requests_are_rejected_without_killing_the_server() {
         t.i.truncate(3);
         t.q.truncate(3);
     }
-    match client.classify_shot(bad) {
+    match client.classify_shots_opts(RequestOptions::new(), vec![bad]) {
         Err(ServeError::InvalidRequest(msg)) => {
             assert!(msg.contains("front end"), "{msg}")
         }
@@ -388,20 +434,24 @@ fn malformed_requests_are_rejected_without_killing_the_server() {
     }
     // The server is still alive and still serves valid requests.
     let good = sys.test_data().shot(1).clone();
-    let states = client.classify_shot(good.clone()).expect("server alive");
+    let states = client
+        .classify_shots_opts(RequestOptions::new(), vec![good.clone()])
+        .expect("server alive")[0];
     assert_eq!(
         states,
-        BatchDiscriminator::new(sys.discriminators()).classify_shot(&good)
+        BatchDiscriminator::new(sys.discriminators()).classify_shot_on(Backend::Float, &good)
     );
     // The floor is per qubit: a mid-circuit truncation of an FNN-A qubit
     // (floor 15) below the FNN-B floor (100) is still a servable request.
     let mut truncated = sys.test_data().shot(2).clone();
     truncated.traces[0].i.truncate(72);
     truncated.traces[0].q.truncate(72);
-    let states = client.classify_shot(truncated.clone()).expect("per-qubit floor");
+    let states = client
+        .classify_shots_opts(RequestOptions::new(), vec![truncated.clone()])
+        .expect("per-qubit floor")[0];
     assert_eq!(
         states,
-        BatchDiscriminator::new(sys.discriminators()).classify_shot(&truncated)
+        BatchDiscriminator::new(sys.discriminators()).classify_shot_on(Backend::Float, &truncated)
     );
     let stats = server.shutdown();
     assert_eq!(stats.requests, 2, "rejected request must not be counted as served");
@@ -409,16 +459,6 @@ fn malformed_requests_are_rejected_without_killing_the_server() {
 
 #[test]
 fn invalid_configs_panic_at_start_not_silently_on_the_collector() {
-    let zero_chunk = std::panic::catch_unwind(|| {
-        ReadoutServer::start(
-            system(),
-            ServeConfig {
-                chunk_size: Some(0),
-                ..ServeConfig::default()
-            },
-        )
-    });
-    assert!(zero_chunk.is_err(), "chunk_size Some(0) must be rejected");
     let zero_batch = std::panic::catch_unwind(|| {
         ReadoutServer::start(
             system(),
@@ -429,23 +469,4 @@ fn invalid_configs_panic_at_start_not_silently_on_the_collector() {
         )
     });
     assert!(zero_batch.is_err(), "max_batch_shots 0 must be rejected");
-}
-
-#[test]
-fn chunk_size_override_changes_nothing_but_scheduling() {
-    let sys = system();
-    let shots = sys.test_data().shots().to_vec();
-    let reference = BatchDiscriminator::new(sys.discriminators()).classify_shots(&shots);
-    for chunk in [1usize, 7, 1024] {
-        let server = ReadoutServer::start(
-            system(),
-            ServeConfig {
-                chunk_size: Some(chunk),
-                ..ServeConfig::default()
-            },
-        );
-        let served = server.client().classify_shots(shots.clone()).expect("server alive");
-        assert_eq!(served, reference, "chunk {chunk} diverged");
-        server.shutdown();
-    }
 }

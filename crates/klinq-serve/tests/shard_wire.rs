@@ -6,7 +6,8 @@
 use klinq_core::testkit;
 use klinq_core::{persist, Backend, BatchDiscriminator, KlinqSystem};
 use klinq_serve::{
-    wire, Priority, ServeConfig, ServeError, ShardedReadoutServer, WireClient, WireServer,
+    wire, Priority, RequestOptions, ServeConfig, ServeError, ShardedReadoutServer, WireClient,
+    WireServer,
 };
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -23,6 +24,20 @@ fn system() -> Arc<KlinqSystem> {
             "CARGO_TARGET_TMPDIR"
         ))))
     }))
+}
+
+/// Reads one whole frame payload off a blocking socket through the
+/// reassembly buffer; `Ok(None)` if the peer hung up first.
+fn recv_frame(raw: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
+    let mut asm = wire::FrameAssembler::new();
+    loop {
+        if let Some(frame) = asm.next_frame_ref().expect("frame length within bounds") {
+            return Ok(Some(frame.to_vec()));
+        }
+        if asm.read_from(raw, 64 * 1024)? == 0 {
+            return Ok(None);
+        }
+    }
 }
 
 #[test]
@@ -48,7 +63,9 @@ fn wire_clients_match_direct_batches_on_a_two_device_fleet() {
         for device in 0..2u16 {
             let mut client =
                 WireClient::connect(server.local_addr(), device).expect("connect loopback");
-            let states = client.classify_shots(&shots).expect("served over the wire");
+            let states = client
+                .classify_shots_opts(RequestOptions::new(), &shots)
+                .expect("served over the wire");
             assert_eq!(
                 states, direct,
                 "wire states diverged from direct on {backend}, device {device}"
@@ -58,7 +75,7 @@ fn wire_clients_match_direct_batches_on_a_two_device_fleet() {
         // device is a typed rejection, not a panic or a hang.
         let mut stray =
             WireClient::connect(server.local_addr(), 7).expect("connect loopback");
-        match stray.classify_shot(&shots[0]) {
+        match stray.classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&shots[0])) {
             Err(ServeError::InvalidRequest(msg)) => assert!(msg.contains("device"), "{msg}"),
             other => panic!("expected InvalidRequest for unknown device, got {other:?}"),
         }
@@ -74,15 +91,25 @@ fn wire_clients_match_direct_batches_on_a_two_device_fleet() {
 fn in_process_sharded_clients_route_and_aggregate_stats() {
     let sys = system();
     let shots = sys.test_data().shots();
-    let direct = BatchDiscriminator::new(sys.discriminators()).classify_shots(shots);
+    let direct =
+        BatchDiscriminator::new(sys.discriminators()).classify_shots_on(Backend::Float, shots);
     let fleet = ShardedReadoutServer::start(vec![system(), system()], ServeConfig::default());
     assert_eq!(fleet.devices(), 2);
     // Device 0 sees two requests, device 1 sees one.
     let d0 = fleet.client(0);
     let d1 = fleet.client(1);
-    assert_eq!(d0.classify_shots(shots[..8].to_vec()).unwrap(), direct[..8]);
-    assert_eq!(d0.classify_shots(shots[8..12].to_vec()).unwrap(), direct[8..12]);
-    assert_eq!(d1.classify_shots(shots[12..20].to_vec()).unwrap(), direct[12..20]);
+    assert_eq!(
+        d0.classify_shots_opts(RequestOptions::new(), shots[..8].to_vec()).unwrap(),
+        direct[..8]
+    );
+    assert_eq!(
+        d0.classify_shots_opts(RequestOptions::new(), shots[8..12].to_vec()).unwrap(),
+        direct[8..12]
+    );
+    assert_eq!(
+        d1.classify_shots_opts(RequestOptions::new(), shots[12..20].to_vec()).unwrap(),
+        direct[12..20]
+    );
     let per_shard = fleet.shard_stats();
     assert_eq!(per_shard.len(), 2);
     assert_eq!(per_shard[0].requests, 2);
@@ -108,10 +135,14 @@ fn fleet_deploys_from_a_device_bundle() {
         .expect("bundle loads into a fleet");
     assert_eq!(fleet.devices(), 2);
     let shot = sys.test_data().shot(3).clone();
-    let expected = BatchDiscriminator::new(sys.discriminators()).classify_shot(&shot);
+    let expected =
+        BatchDiscriminator::new(sys.discriminators()).classify_shot_on(Backend::Float, &shot);
     for device in 0..2 {
         assert_eq!(
-            fleet.client(device).classify_shot(shot.clone()).unwrap(),
+            fleet
+                .client(device)
+                .classify_shots_opts(RequestOptions::new(), vec![shot.clone()])
+                .unwrap()[0],
             expected,
             "bundle-loaded device {device} diverged"
         );
@@ -137,12 +168,15 @@ fn wire_latency_priority_skips_the_linger_window() {
     let mut client = WireClient::connect(server.local_addr(), 0).unwrap();
     let start = Instant::now();
     let states = client
-        .classify_shots_with_priority(Priority::Latency, std::slice::from_ref(&shot))
+        .classify_shots_opts(
+            RequestOptions::new().priority(Priority::Latency),
+            std::slice::from_ref(&shot),
+        )
         .expect("served over the wire");
     let elapsed = start.elapsed();
     assert_eq!(
         states[0],
-        BatchDiscriminator::new(sys.discriminators()).classify_shot(&shot)
+        BatchDiscriminator::new(sys.discriminators()).classify_shot_on(Backend::Float, &shot)
     );
     assert!(
         elapsed < Duration::from_secs(60),
@@ -163,7 +197,8 @@ fn wire_shutdown_does_not_deadlock_on_an_in_flight_lingering_batch() {
     // its reply when the fleet closes the batch.
     let sys = system();
     let shots = sys.test_data().shots()[..3].to_vec();
-    let direct = BatchDiscriminator::new(sys.discriminators()).classify_shots(&shots);
+    let direct =
+        BatchDiscriminator::new(sys.discriminators()).classify_shots_on(Backend::Float, &shots);
     let fleet = ShardedReadoutServer::start(
         vec![system()],
         ServeConfig {
@@ -179,7 +214,7 @@ fn wire_shutdown_does_not_deadlock_on_an_in_flight_lingering_batch() {
             let shots = shots.clone();
             scope.spawn(move || {
                 let mut client = WireClient::connect(addr, 0).expect("connect loopback");
-                client.classify_shots(&shots)
+                client.classify_shots_opts(RequestOptions::new(), &shots)
             })
         };
         // Let the request reach the collector and open its batch.
@@ -213,7 +248,7 @@ fn wire_rejections_reach_the_client_typed() {
         t.i.truncate(3);
         t.q.truncate(3);
     }
-    match client.classify_shot(&bad) {
+    match client.classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&bad)) {
         Err(ServeError::InvalidRequest(msg)) => assert!(msg.contains("front end"), "{msg}"),
         other => panic!("expected InvalidRequest, got {other:?}"),
     }
@@ -223,15 +258,17 @@ fn wire_rejections_reach_the_client_typed() {
     let mut ragged = sys.test_data().shot(4).clone();
     let shorter = ragged.traces[2].q.len() - 1;
     ragged.traces[2].q.truncate(shorter);
-    match client.classify_shot(&ragged) {
+    match client.classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&ragged)) {
         Err(ServeError::InvalidRequest(msg)) => assert!(msg.contains("samples but Q"), "{msg}"),
         other => panic!("expected InvalidRequest for ragged trace, got {other:?}"),
     }
     // The connection survives a rejection: valid requests still serve.
     let good = sys.test_data().shot(1).clone();
     assert_eq!(
-        client.classify_shot(&good).expect("connection still serves"),
-        BatchDiscriminator::new(sys.discriminators()).classify_shot(&good)
+        client
+            .classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&good))
+            .expect("connection still serves")[0],
+        BatchDiscriminator::new(sys.discriminators()).classify_shot_on(Backend::Float, &good)
     );
     server.shutdown();
     fleet.shutdown();
@@ -247,7 +284,7 @@ fn garbage_frames_get_a_typed_protocol_error_not_a_dead_server() {
     let junk = *b"completely not a klinq frame";
     raw.write_all(&(junk.len() as u32).to_le_bytes()).unwrap();
     raw.write_all(&junk).unwrap();
-    let payload = wire::read_frame(&mut raw)
+    let payload = recv_frame(&mut raw)
         .expect("server answers before hanging up")
         .expect("an error frame, not a silent close");
     match wire::decode_message(&payload) {
@@ -268,8 +305,10 @@ fn garbage_frames_get_a_typed_protocol_error_not_a_dead_server() {
     let shot = sys.test_data().shot(2).clone();
     let mut client = WireClient::connect(server.local_addr(), 0).unwrap();
     assert_eq!(
-        client.classify_shot(&shot).expect("server alive"),
-        BatchDiscriminator::new(sys.discriminators()).classify_shot(&shot)
+        client
+            .classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&shot))
+            .expect("server alive")[0],
+        BatchDiscriminator::new(sys.discriminators()).classify_shot_on(Backend::Float, &shot)
     );
     server.shutdown();
     fleet.shutdown();

@@ -5,8 +5,7 @@
 
 use klinq_serve::wire::codec::encode_request_opts;
 use klinq_serve::wire::{
-    decode_message, encode_error, encode_request, encode_response, read_frame, FrameAssembler,
-    WireError, WireMessage,
+    decode_message, encode_error, encode_response, FrameAssembler, WireError, WireMessage,
 };
 use klinq_serve::{Priority, ServeError, Shot, ShotStates};
 use std::time::Duration;
@@ -106,7 +105,7 @@ proptest! {
         // Any strict prefix of a valid frame payload must decode to a
         // typed error — the declared counts can no longer be satisfied —
         // and must never panic or silently succeed.
-        let encoded = encode_request(7, 3, Priority::Throughput, &shots);
+        let encoded = encode_request_opts(7, 3, Priority::Throughput, 0, 0, false, &shots);
         let cut = ((encoded.len() as f64) * cut_fraction) as usize;
         prop_assume!(cut < encoded.len());
         prop_assert!(decode_message(&encoded[..cut]).is_err());
@@ -155,7 +154,7 @@ proptest! {
         // A byte stream carrying several frames must reassemble into
         // exactly those frames no matter how the transport fragments it.
         let payloads = [
-            encode_request(1, 0, Priority::Throughput, &shots),
+            encode_request_opts(1, 0, Priority::Throughput, 0, 0, false, &shots),
             encode_response(2, &states),
             encode_error(3, &ServeError::Overloaded { retry_after: None }),
         ];
@@ -167,9 +166,9 @@ proptest! {
         let mut asm = FrameAssembler::new();
         let mut got: Vec<Vec<u8>> = Vec::new();
         for piece in stream.chunks(chunk) {
-            asm.extend(piece);
-            while let Some(frame) = asm.next_frame().unwrap() {
-                got.push(frame);
+            prop_assert_eq!(asm.read_from(&mut &*piece, chunk).unwrap(), piece.len());
+            while let Some(frame) = asm.next_frame_ref().unwrap() {
+                got.push(frame.to_vec());
             }
         }
         prop_assert_eq!(got, payloads.to_vec());
@@ -212,65 +211,43 @@ fn every_error_variant_round_trips() {
 }
 
 #[test]
-fn v2_frames_still_decode_as_the_default_tenant() {
-    // Version tolerance: a PR-6 v2 client sends requests with no
-    // tenant/deadline fields and `Overloaded` errors with no retry-after
-    // extra. Both must decode — as the default tenant with no deadline,
-    // and no hint — so old clients keep working against a v3 server.
-    let mut v2_req = Vec::new();
-    v2_req.extend_from_slice(&0x514Bu16.to_le_bytes());
-    v2_req.push(2); // version 2
-    v2_req.push(1); // request
-    v2_req.extend_from_slice(&9u64.to_le_bytes()); // req id
-    v2_req.extend_from_slice(&4u16.to_le_bytes()); // device
-    v2_req.push(1); // priority: latency
-    v2_req.extend_from_slice(&0u32.to_le_bytes()); // zero shots
-    match decode_message(&v2_req) {
-        Ok(WireMessage::Request {
-            req_id, device, priority, tenant, deadline_us, allow_failover, shots,
-        }) => {
-            assert_eq!(req_id, 9);
-            assert_eq!(device, 4);
-            assert_eq!(priority, Priority::Latency);
-            assert_eq!(tenant, 0, "v2 requests bill to the default tenant");
-            assert_eq!(deadline_us, 0, "v2 requests carry no deadline");
-            assert!(!allow_failover, "v2 requests never opt into failover");
-            assert!(shots.is_empty());
-        }
-        other => panic!("decoded {other:?}"),
-    }
-
-    let mut v2_err = Vec::new();
-    v2_err.extend_from_slice(&0x514Bu16.to_le_bytes());
-    v2_err.push(2); // version 2
-    v2_err.push(3); // error
-    v2_err.extend_from_slice(&9u64.to_le_bytes()); // req id
-    v2_err.push(2); // kind: Overloaded
-    v2_err.extend_from_slice(&0u32.to_le_bytes()); // empty message
-    match decode_message(&v2_err) {
-        Ok(WireMessage::Error { error, .. }) => {
-            assert_eq!(error, ServeError::Overloaded { retry_after: None });
-        }
-        other => panic!("decoded {other:?}"),
-    }
-}
-
-#[test]
 fn version_skew_is_a_typed_error() {
-    // A protocol-v1 frame (PR 5: no request id) against this build must
-    // fail typed as version skew — never parse the id-less header as if
-    // eight body bytes were a request id.
-    let mut v1 = Vec::new();
-    v1.extend_from_slice(&0x514Bu16.to_le_bytes());
-    v1.push(1); // version 1
-    v1.push(1); // request
+    // Only the current version decodes: a well-formed request frame of
+    // any older layout must fail typed as version skew — never parse
+    // one layout's fields as another's.
+    let header = |version: u8| {
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&0x514Bu16.to_le_bytes());
+        frame.push(version);
+        frame.push(1); // request
+        frame
+    };
+    // v1: no request id.
+    let mut v1 = header(1);
     v1.extend_from_slice(&0u16.to_le_bytes()); // device
     v1.push(0); // priority
     v1.extend_from_slice(&0u32.to_le_bytes()); // zero shots
-    assert!(matches!(
-        decode_message(&v1),
-        Err(WireError::UnsupportedVersion(1))
-    ));
+                                               // v2: request id, no tenant/deadline fields, no flags byte.
+    let mut v2 = header(2);
+    v2.extend_from_slice(&9u64.to_le_bytes()); // req id
+    v2.extend_from_slice(&4u16.to_le_bytes()); // device
+    v2.push(1); // priority: latency
+    v2.extend_from_slice(&0u32.to_le_bytes()); // zero shots
+                                               // v3: tenant and deadline, no flags byte.
+    let mut v3 = header(3);
+    v3.extend_from_slice(&9u64.to_le_bytes()); // req id
+    v3.extend_from_slice(&4u16.to_le_bytes()); // device
+    v3.push(1); // priority: latency
+    v3.extend_from_slice(&2u32.to_le_bytes()); // tenant
+    v3.extend_from_slice(&500u64.to_le_bytes()); // deadline (µs)
+    v3.extend_from_slice(&0u32.to_le_bytes()); // zero shots
+    for (version, frame) in [(1, v1), (2, v2), (3, v3)] {
+        assert_eq!(
+            decode_message(&frame),
+            Err(WireError::UnsupportedVersion(version)),
+            "v{version}"
+        );
+    }
 }
 
 #[test]
@@ -292,7 +269,8 @@ fn ragged_traces_round_trip_exactly() {
     let mut shot = shot_from_samples(vec![vec![1.0, 2.0, 3.0], vec![4.0]]);
     shot.traces[0].q.truncate(1);
     shot.traces[1].q.clear();
-    let encoded = encode_request(1, 0, Priority::Throughput, std::slice::from_ref(&shot));
+    let encoded =
+        encode_request_opts(1, 0, Priority::Throughput, 0, 0, false, std::slice::from_ref(&shot));
     match decode_message(&encoded) {
         Ok(WireMessage::Request { shots, .. }) => assert_eq!(shots, vec![shot]),
         other => panic!("decoded {other:?}"),
@@ -303,7 +281,7 @@ fn ragged_traces_round_trip_exactly() {
 fn hostile_shot_counts_are_capped_before_allocation() {
     // A frame declaring an absurd shot count must fail typed without
     // the decoder allocating shot structs for it.
-    let mut payload = encode_request(1, 0, Priority::Throughput, &[]);
+    let mut payload = encode_request_opts(1, 0, Priority::Throughput, 0, 0, false, &[]);
     // Overwrite the trailing u32 shot count (last 4 bytes of an empty
     // request) with u32::MAX.
     let len = payload.len();
@@ -333,35 +311,26 @@ fn trailing_bytes_are_malformed() {
 
 #[test]
 fn framing_rejects_truncation_and_oversized_lengths() {
-    // Clean EOF at a frame boundary is `None`, not an error.
-    let empty: &[u8] = &[];
-    assert_eq!(read_frame(&mut &*empty).unwrap(), None);
-    // A stream that dies mid-length-prefix or mid-payload is typed.
-    let short_prefix: &[u8] = &[1, 0];
-    assert!(matches!(
-        read_frame(&mut &*short_prefix),
-        Err(WireError::Truncated { .. })
-    ));
-    let short_payload: &[u8] = &[8, 0, 0, 0, 1, 2, 3];
-    assert!(matches!(
-        read_frame(&mut &*short_payload),
-        Err(WireError::Truncated { expected: 8, have: 3 })
-    ));
-    // A garbage length prefix must produce a typed bound error, not a
-    // giant allocation.
-    let huge: &[u8] = &[0xff, 0xff, 0xff, 0xff];
-    assert!(matches!(
-        read_frame(&mut &*huge),
-        Err(WireError::FrameTooLarge(_))
-    ));
-    // The incremental assembler enforces the same bound the moment the
-    // prefix is visible — before any payload bytes arrive.
-    let mut asm = FrameAssembler::new();
-    asm.extend(&[0xff, 0xff, 0xff, 0xff]);
-    assert!(matches!(
-        asm.next_frame(),
-        Err(WireError::FrameTooLarge(_))
-    ));
+    // Reads a whole byte stream through an assembler, returning the
+    // first frame (if complete) and the bytes left buffered at EOF.
+    fn read_all(mut stream: &[u8]) -> (Result<Option<Vec<u8>>, WireError>, usize) {
+        let mut asm = FrameAssembler::new();
+        while asm.read_from(&mut stream, 64).unwrap() > 0 {}
+        let frame = asm.next_frame_ref().map(|f| f.map(<[u8]>::to_vec));
+        (frame, asm.pending())
+    }
+    // Clean EOF at a frame boundary: no frame, nothing left over.
+    assert_eq!(read_all(&[]), (Ok(None), 0));
+    // A stream that dies mid-length-prefix or mid-payload yields no
+    // frame and leaves its partial bytes buffered — what a reader sees
+    // as a truncated stream at EOF.
+    assert_eq!(read_all(&[1, 0]), (Ok(None), 2));
+    assert_eq!(read_all(&[8, 0, 0, 0, 1, 2, 3]), (Ok(None), 7));
+    assert_eq!(read_all(&[3, 0, 0, 0, 1, 2, 3]), (Ok(Some(vec![1, 2, 3])), 0));
+    // A garbage length prefix must produce a typed bound error the
+    // moment the prefix is visible — before any payload bytes arrive,
+    // and without a giant allocation.
+    assert!(matches!(read_all(&[0xff, 0xff, 0xff, 0xff]).0, Err(WireError::FrameTooLarge(_))));
 }
 
 /// A reader that hands out one byte per `read` call — the degenerate
@@ -411,8 +380,8 @@ fn one_byte_reads_reassemble_exactly_across_frame_boundaries() {
         // Ask for a big chunk; the reader still delivers one byte.
         assert_eq!(asm.read_from(&mut reader, 64 * 1024).unwrap(), 1);
         let complete_before = got.len();
-        while let Some(frame) = asm.next_frame().unwrap() {
-            got.push(frame);
+        while let Some(frame) = asm.next_frame_ref().unwrap() {
+            got.push(frame.to_vec());
         }
         let complete_now = ends.iter().filter(|&&e| e <= fed).count();
         assert_eq!(

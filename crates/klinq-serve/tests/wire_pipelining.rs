@@ -6,12 +6,15 @@
 //! 256-connection pipelined load on one reactor thread.
 
 use klinq_core::testkit;
-use klinq_core::{Backend, BatchDiscriminator, KlinqSystem};
+use klinq_core::{Backend, BatchDiscriminator, KlinqSystem, ShotStates};
+use klinq_serve::wire::{self, codec, FrameAssembler, WireMessage};
 use klinq_serve::{
-    wire, Priority, ServeConfig, ServeError, ShardedReadoutServer, Transport, WireClient,
-    WireConfig, WireServer,
+    Priority, RequestOptions, ServeConfig, ServeError, ShardedReadoutServer, Shot, Transport,
+    WireClient, WireConfig, WireServer,
 };
+use klinq_sim::IqTrace;
 use std::collections::HashMap;
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::ops::Range;
 use std::path::Path;
@@ -36,6 +39,36 @@ fn transports() -> Vec<Transport> {
     vec![Transport::PollLoop, Transport::Auto]
 }
 
+/// Reads one whole frame payload off a blocking socket through the
+/// reassembly buffer; `Ok(None)` if the peer hung up first.
+fn recv_frame(raw: &mut TcpStream, asm: &mut FrameAssembler) -> std::io::Result<Option<Vec<u8>>> {
+    loop {
+        if let Some(frame) = asm.next_frame_ref().expect("frame length within bounds") {
+            return Ok(Some(frame.to_vec()));
+        }
+        if asm.read_from(raw, 64 * 1024)? == 0 {
+            return Ok(None);
+        }
+    }
+}
+
+/// Writes one default-tenant request frame to `device` on a raw
+/// connection — the raw-frame path the benchmark's load generator uses.
+fn send_request(raw: &mut TcpStream, req_id: u64, device: u16, priority: Priority, shots: &[Shot]) {
+    let payload = codec::encode_request_opts(req_id, device, priority, 0, 0, false, shots);
+    raw.write_all(&codec::frame(&payload)).expect("request written");
+}
+
+/// Reads the next frame off a raw connection, which must be a
+/// response: `(request id, states)`.
+fn recv_states(raw: &mut TcpStream, asm: &mut FrameAssembler) -> (u64, Vec<ShotStates>) {
+    let frame = recv_frame(raw, asm).expect("transport alive").expect("a response, not a hang-up");
+    match wire::decode_message(&frame) {
+        Ok(WireMessage::Response { req_id, states }) => (req_id, states),
+        other => panic!("expected a response frame, got {other:?}"),
+    }
+}
+
 #[test]
 fn a_server_that_accepts_but_never_replies_times_out_typed() {
     // The kernel completes the TCP handshake from the backlog, so a
@@ -49,7 +82,8 @@ fn a_server_that_accepts_but_never_replies_times_out_typed() {
     client
         .set_read_timeout(Some(Duration::from_millis(200)))
         .expect("set read timeout");
-    let req_id = client.submit(&[]).expect("request buffered by the kernel");
+    let req_id =
+        client.submit_opts(RequestOptions::new(), &[]).expect("request buffered by the kernel");
     assert_eq!(req_id, 1, "client request ids start at 1");
     let t0 = Instant::now();
     match client.recv_response() {
@@ -68,7 +102,7 @@ fn a_server_that_accepts_but_never_replies_times_out_typed() {
         .set_read_timeout(Some(Duration::from_millis(200)))
         .expect("set read timeout");
     let shot = system().test_data().shot(0).clone();
-    match blocking.classify_shot(&shot) {
+    match blocking.classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&shot)) {
         Err(ServeError::Timeout) => {}
         other => panic!("expected ServeError::Timeout, got {other:?}"),
     }
@@ -110,50 +144,48 @@ fn pipelined_requests_complete_out_of_order_and_match_direct() {
                 },
             )
             .expect("start wire server");
-            let mut client = WireClient::connect(server.local_addr(), 0).unwrap();
+            // Raw frames on one connection: per-request device routing
+            // is a protocol feature, so devices 0 and 1 share the link.
+            let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+            raw.set_nodelay(true).unwrap();
+            let mut asm = FrameAssembler::new();
             let mut expected: HashMap<u64, Range<usize>> = HashMap::new();
-            let mut parked_ids = Vec::new();
+            let mut next_id = 1u64;
             for r in &park {
-                let id = client
-                    .submit_to(0, Priority::Throughput, &shots[r.clone()])
-                    .unwrap();
-                expected.insert(id, r.clone());
-                parked_ids.push(id);
+                send_request(&mut raw, next_id, 0, Priority::Throughput, &shots[r.clone()]);
+                expected.insert(next_id, r.clone());
+                next_id += 1;
             }
             let mut overtaking_ids = Vec::new();
             for r in &overtake {
-                let id = client
-                    .submit_to(1, Priority::Latency, &shots[r.clone()])
-                    .unwrap();
-                expected.insert(id, r.clone());
-                overtaking_ids.push(id);
+                send_request(&mut raw, next_id, 1, Priority::Latency, &shots[r.clone()]);
+                expected.insert(next_id, r.clone());
+                overtaking_ids.push(next_id);
+                next_id += 1;
             }
-            assert_eq!(client.in_flight(), park.len() + overtake.len());
+            assert_eq!(expected.len(), park.len() + overtake.len());
             // The device-1 responses arrive while device 0 still
             // lingers: completion order differs from submission order.
             for _ in &overtake {
-                let (id, result) = client.recv_response().expect("transport alive");
+                let (id, states) = recv_states(&mut raw, &mut asm);
                 assert!(
                     overtaking_ids.contains(&id),
                     "device-0 request {id} answered while its batch should be parked \
                      ({backend}, {transport:?})"
                 );
                 let r = expected.remove(&id).expect("each id answered once");
-                assert_eq!(result.expect("served"), direct[r], "{backend}, {transport:?}");
+                assert_eq!(states, direct[r], "{backend}, {transport:?}");
             }
             // A latency request to device 0 expedites the parked batch;
             // the three parked responses and this one drain in any order.
-            let flush_id = client
-                .submit_to(0, Priority::Latency, &shots[flush.clone()])
-                .unwrap();
-            expected.insert(flush_id, flush.clone());
+            send_request(&mut raw, next_id, 0, Priority::Latency, &shots[flush.clone()]);
+            expected.insert(next_id, flush.clone());
             for _ in 0..=park.len() {
-                let (id, result) = client.recv_response().expect("transport alive");
+                let (id, states) = recv_states(&mut raw, &mut asm);
                 let r = expected.remove(&id).expect("each id answered once");
-                assert_eq!(result.expect("served"), direct[r], "{backend}, {transport:?}");
+                assert_eq!(states, direct[r], "{backend}, {transport:?}");
             }
             assert!(expected.is_empty());
-            assert_eq!(client.in_flight(), 0);
             server.shutdown();
             let stats = fleet.shutdown();
             assert_eq!(stats.requests, 7, "{backend}, {transport:?}");
@@ -162,10 +194,69 @@ fn pipelined_requests_complete_out_of_order_and_match_direct() {
 }
 
 #[test]
+fn requests_the_decoder_rejects_fail_synchronously_and_spare_the_connection() {
+    // Both requests below fit the frame-size bound, yet the server's
+    // decoder rejects them — and the reactor answers undecodable bytes
+    // by dropping the whole connection, which would lose every request
+    // in flight on it. The client must refuse them before sending.
+    let sys = system();
+    let shot = sys.test_data().shot(0).clone();
+    let direct =
+        BatchDiscriminator::new(sys.discriminators()).classify_shot_on(Backend::Float, &shot);
+    let fleet = ShardedReadoutServer::start(
+        vec![system()],
+        ServeConfig {
+            // Parks the first request until the latency flush below.
+            max_linger: Duration::from_secs(15),
+            max_batch_shots: usize::MAX,
+            ..ServeConfig::default()
+        },
+    );
+    let server = WireServer::start(&fleet, TcpListener::bind("127.0.0.1:0").unwrap()).unwrap();
+    let mut client = WireClient::connect(server.local_addr(), 0).unwrap();
+    let parked = client
+        .submit_opts(RequestOptions::new(), std::slice::from_ref(&shot))
+        .expect("parked request sent");
+    // One shot over the per-request cap (zero-trace shots: ~2 MiB).
+    let traceless = Shot { traces: Vec::new(), ..shot.clone() };
+    let too_many_shots = vec![traceless; wire::MAX_REQUEST_SHOTS as usize + 1];
+    // One trace over what the frame's `u16` trace count can carry.
+    let empty_trace = IqTrace { i: Vec::new(), q: Vec::new() };
+    let too_many_traces =
+        Shot { traces: vec![empty_trace; usize::from(u16::MAX) + 1], ..shot.clone() };
+    for (what, shots) in
+        [("shots", &too_many_shots[..]), ("traces", std::slice::from_ref(&too_many_traces))]
+    {
+        match client.submit_opts(RequestOptions::new(), shots) {
+            Err(ServeError::InvalidRequest(msg)) => assert!(msg.contains("limit"), "{what}: {msg}"),
+            other => {
+                panic!("too many {what}: expected a synchronous InvalidRequest, got {other:?}")
+            }
+        }
+    }
+    assert_eq!(client.in_flight(), 1, "a refused request is never tracked");
+    // The connection still serves: a latency request expedites the
+    // parked batch, and both come back with states.
+    let flush = client
+        .submit_opts(RequestOptions::new().priority(Priority::Latency), std::slice::from_ref(&shot))
+        .expect("connection still usable");
+    let mut answered = HashMap::new();
+    for _ in 0..2 {
+        let (id, result) = client.recv_response().expect("transport alive");
+        answered.insert(id, result.expect("served, not disconnected"));
+    }
+    assert_eq!(answered[&parked], vec![direct]);
+    assert_eq!(answered[&flush], vec![direct]);
+    server.shutdown();
+    fleet.shutdown();
+}
+
+#[test]
 fn the_connection_budget_applies_accept_backpressure() {
     let sys = system();
     let shot = sys.test_data().shot(0).clone();
-    let direct = BatchDiscriminator::new(sys.discriminators()).classify_shot(&shot);
+    let direct =
+        BatchDiscriminator::new(sys.discriminators()).classify_shot_on(Backend::Float, &shot);
     for transport in transports() {
         let fleet = ShardedReadoutServer::start(vec![system()], ServeConfig::default());
         let server = WireServer::start_with(
@@ -181,13 +272,19 @@ fn the_connection_budget_applies_accept_backpressure() {
         .unwrap();
         let mut c1 = WireClient::connect(server.local_addr(), 0).unwrap();
         let mut c2 = WireClient::connect(server.local_addr(), 0).unwrap();
-        assert_eq!(c1.classify_shot(&shot).unwrap(), direct);
-        assert_eq!(c2.classify_shot(&shot).unwrap(), direct);
+        assert_eq!(
+            c1.classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&shot)).unwrap()[0],
+            direct
+        );
+        assert_eq!(
+            c2.classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&shot)).unwrap()[0],
+            direct
+        );
         // The third connection handshakes (kernel backlog) but sits
         // unaccepted at the budget: its request gets no answer.
         let mut c3 = WireClient::connect(server.local_addr(), 0).unwrap();
         c3.set_read_timeout(Some(Duration::from_millis(300))).unwrap();
-        c3.submit(std::slice::from_ref(&shot)).unwrap();
+        c3.submit_opts(RequestOptions::new(), std::slice::from_ref(&shot)).unwrap();
         match c3.recv_response() {
             Err(ServeError::Timeout) => {}
             other => panic!("budget ignored: third connection got {other:?}"),
@@ -221,7 +318,8 @@ fn idle_connections_are_reaped_under_the_configured_timeout() {
     )
     .unwrap();
     let mut idle = WireClient::connect(server.local_addr(), 0).unwrap();
-    idle.classify_shot(&shot).expect("served before going idle");
+    idle.classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&shot))
+        .expect("served before going idle");
     std::thread::sleep(Duration::from_millis(1200));
     let stats = server.stats();
     assert_eq!(stats.wire_reaped, 1, "quiet connection not reaped");
@@ -230,21 +328,29 @@ fn idle_connections_are_reaped_under_the_configured_timeout() {
     // the server hung up, but the address still serves...
     idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     assert_eq!(
-        idle.classify_shot(&shot).expect("reconnected after the reap"),
-        BatchDiscriminator::new(sys.discriminators()).classify_shot(&shot)
+        idle.classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&shot))
+            .expect("reconnected after the reap")[0],
+        BatchDiscriminator::new(sys.discriminators()).classify_shot_on(Backend::Float, &shot)
     );
     // ...and with reconnection disabled, the hang-up surfaces as a
     // typed `Disconnected` instead (never a panic or a silent hang).
     let mut doomed = WireClient::connect(server.local_addr(), 0).unwrap();
     doomed.set_reconnect(None);
-    doomed.classify_shot(&shot).expect("served before going idle");
+    doomed
+        .classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&shot))
+        .expect("served before going idle");
     std::thread::sleep(Duration::from_millis(1200));
-    assert_eq!(doomed.classify_shot(&shot), Err(ServeError::Disconnected));
+    assert_eq!(
+        doomed.classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&shot)),
+        Err(ServeError::Disconnected)
+    );
     // ...while fresh connections serve as ever.
     let mut fresh = WireClient::connect(server.local_addr(), 0).unwrap();
     assert_eq!(
-        fresh.classify_shot(&shot).expect("server alive"),
-        BatchDiscriminator::new(sys.discriminators()).classify_shot(&shot)
+        fresh
+            .classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&shot))
+            .expect("server alive")[0],
+        BatchDiscriminator::new(sys.discriminators()).classify_shot_on(Backend::Float, &shot)
     );
     server.shutdown();
     fleet.shutdown();
@@ -252,7 +358,6 @@ fn idle_connections_are_reaped_under_the_configured_timeout() {
 
 #[test]
 fn wire_version_skew_earns_a_typed_error_frame() {
-    use std::io::Write;
     let fleet = ShardedReadoutServer::start(vec![system()], ServeConfig::default());
     let server = WireServer::start(&fleet, TcpListener::bind("127.0.0.1:0").unwrap()).unwrap();
     // A protocol-v1 peer (PR 5: no request ids) sends a well-formed v1
@@ -268,7 +373,7 @@ fn wire_version_skew_earns_a_typed_error_frame() {
     v1.extend_from_slice(&0u32.to_le_bytes()); // zero shots
     raw.write_all(&(v1.len() as u32).to_le_bytes()).unwrap();
     raw.write_all(&v1).unwrap();
-    let payload = wire::read_frame(&mut raw)
+    let payload = recv_frame(&mut raw, &mut FrameAssembler::new())
         .expect("server answers before hanging up")
         .expect("an error frame, not a silent close");
     match wire::decode_message(&payload) {
@@ -293,7 +398,8 @@ fn the_reactor_sustains_256_pipelined_connections() {
     const SLICE: usize = 2;
     let sys = system();
     let shots = sys.test_data().shots().to_vec();
-    let direct = BatchDiscriminator::new(sys.discriminators()).classify_shots(&shots);
+    let direct =
+        BatchDiscriminator::new(sys.discriminators()).classify_shots_on(Backend::Float, &shots);
     let fleet = ShardedReadoutServer::start(
         vec![system()],
         ServeConfig {
@@ -312,7 +418,8 @@ fn the_reactor_sustains_256_pipelined_connections() {
         let mut ids = HashMap::new();
         for j in 0..REQS_PER_CONN {
             let s = start(c, j);
-            let id = client.submit(&shots[s..s + SLICE]).expect("submitted");
+            let id =
+                client.submit_opts(RequestOptions::new(), &shots[s..s + SLICE]).expect("submitted");
             ids.insert(id, s);
         }
         expected.push(ids);

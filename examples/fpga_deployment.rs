@@ -10,7 +10,7 @@
 //! Run with `cargo run --release --example fpga_deployment`.
 
 use klinq::core::experiments::ExperimentConfig;
-use klinq::core::{KlinqError, KlinqSystem};
+use klinq::core::{Backend, KlinqError, KlinqSystem};
 use klinq::fpga::report::DesignReport;
 use klinq::fpga::Clock;
 
@@ -51,7 +51,7 @@ fn main() -> Result<(), KlinqError> {
         let shot = system.test_data().shot(s);
         for qb in 0..5 {
             let t = &shot.traces[qb];
-            let float_state = system.discriminator(qb).measure(&t.i, &t.q);
+            let float_state = system.discriminator(qb).measure_on(Backend::Float, &t.i, &t.q);
             let detail = system.discriminator(qb).hardware().infer_detailed(&t.i, &t.q);
             agree += (float_state == detail.excited) as usize;
             overflows += detail.overflow_count;
@@ -64,6 +64,6 @@ fn main() -> Result<(), KlinqError> {
     );
 
     // Fidelity through the hardware path.
-    println!("hardware-path fidelities: {}", system.evaluate_hw());
+    println!("hardware-path fidelities: {}", system.evaluate_on(Backend::Hardware));
     Ok(())
 }

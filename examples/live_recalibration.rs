@@ -27,7 +27,7 @@
 
 use klinq::core::experiments::ExperimentConfig;
 use klinq::core::{KlinqError, KlinqSystem};
-use klinq::serve::{ReadoutServer, ServeConfig, ServeStats};
+use klinq::serve::{ReadoutServer, RequestOptions, ServeConfig, ServeStats};
 use klinq::sim::device::NUM_QUBITS;
 use klinq::sim::noise::GaussianSource;
 use klinq::sim::{predict_mf_fidelity, FiveQubitDevice, QubitCalibration, Shot, SimConfig};
@@ -161,7 +161,7 @@ fn main() -> Result<(), KlinqError> {
     for _ in 0..4 {
         // Production traffic (classified, not scored) plus a trickle of
         // calibration shots — the operator's usual mix.
-        client.classify_shots(drifted_shots.clone()).map_err(serve)?;
+        client.classify_shots_opts(RequestOptions::new(), drifted_shots.clone()).map_err(serve)?;
         client.classify_calibration_shots(drifted_shots[..32].to_vec()).map_err(serve)?;
     }
     let canary = server.stats();

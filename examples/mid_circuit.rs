@@ -14,7 +14,7 @@
 //! Run with `cargo run --release --example mid_circuit`.
 
 use klinq::core::experiments::ExperimentConfig;
-use klinq::core::{KlinqError, KlinqSystem};
+use klinq::core::{Backend, KlinqError, KlinqSystem};
 
 /// The ancilla qubit index (0-based; qubit 4 in paper numbering).
 const ANCILLA: usize = 3;
@@ -43,9 +43,8 @@ fn main() -> Result<(), KlinqError> {
         let shot = data.shot(s);
         let t = &shot.traces[ANCILLA];
         // Mid-circuit: only the first `cut` samples exist yet.
-        let syndrome = system
-            .discriminator(ANCILLA)
-            .measure(&t.i[..cut], &t.q[..cut]);
+        let syndrome =
+            system.discriminator(ANCILLA).measure_on(Backend::Float, &t.i[..cut], &t.q[..cut]);
         match (syndrome, shot.prepared[ANCILLA]) {
             (true, true) => corrections += 1,
             (false, true) => missed_syndromes += 1,
@@ -75,7 +74,7 @@ fn main() -> Result<(), KlinqError> {
     // Read one of them now, later in the "circuit", from its full trace.
     let shot = data.shot(0);
     let t = &shot.traces[0];
-    let late = system.measure(0, &t.i, &t.q);
+    let late = system.measure_on(Backend::Float, 0, &t.i, &t.q);
     println!(
         "\nlate measurement of qubit 1 (full trace): |{}⟩ (prepared |{}⟩)",
         late as u8, shot.prepared[0] as u8

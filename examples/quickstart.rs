@@ -4,7 +4,7 @@
 //! Defaults to the smoke scale so it finishes in seconds.
 
 use klinq::core::experiments::ExperimentConfig;
-use klinq::core::{KlinqError, KlinqSystem};
+use klinq::core::{Backend, KlinqError, KlinqSystem};
 
 fn main() -> Result<(), KlinqError> {
     let scale = std::env::args().nth(1).unwrap_or_else(|| "smoke".into());
@@ -24,7 +24,7 @@ fn main() -> Result<(), KlinqError> {
     println!("  trained in {:.1}s", start.elapsed().as_secs_f32());
 
     // Aggregate fidelities on the held-out set.
-    let report = system.evaluate();
+    let report = system.evaluate_on(Backend::Float);
     println!("\nPer-qubit assignment fidelity (float path):");
     println!("  {report}");
     let teachers = system.evaluate_teachers();
@@ -32,7 +32,7 @@ fn main() -> Result<(), KlinqError> {
     println!("  {teachers}");
 
     // The FPGA datapath gives the same answers in Q16.16.
-    let hw = system.evaluate_hw();
+    let hw = system.evaluate_on(Backend::Hardware);
     println!("Bit-accurate FPGA datapath:");
     println!("  {hw}");
 
@@ -40,7 +40,7 @@ fn main() -> Result<(), KlinqError> {
     let shot = system.test_data().shot(0);
     for qb in 0..5 {
         let t = &shot.traces[qb];
-        let state = system.measure(qb, &t.i, &t.q);
+        let state = system.measure_on(Backend::Float, qb, &t.i, &t.q);
         let prepared = shot.prepared[qb];
         println!(
             "qubit {}: prepared |{}⟩, read |{}⟩ {}",

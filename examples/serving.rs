@@ -9,7 +9,7 @@
 
 use klinq::core::experiments::ExperimentConfig;
 use klinq::core::{Backend, KlinqError, KlinqSystem};
-use klinq::serve::{ReadoutServer, ServeConfig};
+use klinq::serve::{ReadoutServer, RequestOptions, ServeConfig};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -64,7 +64,7 @@ fn main() -> Result<(), KlinqError> {
             scope.spawn(move || {
                 for _ in 0..rounds {
                     let states = client
-                        .classify_shots(chunk.to_vec())
+                        .classify_shots_opts(RequestOptions::new(), chunk.to_vec())
                         .expect("server alive");
                     assert_eq!(states.len(), chunk.len());
                 }

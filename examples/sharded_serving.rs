@@ -13,7 +13,9 @@
 
 use klinq::core::experiments::ExperimentConfig;
 use klinq::core::{persist, KlinqError, KlinqSystem};
-use klinq::serve::{Priority, ServeConfig, ShardedReadoutServer, WireClient, WireServer};
+use klinq::serve::{
+    Priority, RequestOptions, ServeConfig, ShardedReadoutServer, WireClient, WireServer,
+};
 use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
@@ -68,7 +70,9 @@ fn main() -> Result<(), KlinqError> {
                 let mut client =
                     WireClient::connect(addr, device).expect("connect to wire server");
                 for round in 0..4 {
-                    let states = client.classify_shots(shots).expect("fleet alive");
+                    let states = client
+                        .classify_shots_opts(RequestOptions::new(), shots)
+                        .expect("fleet alive");
                     assert_eq!(states.len(), shots.len());
                     if round == 0 {
                         println!(
@@ -86,7 +90,10 @@ fn main() -> Result<(), KlinqError> {
             let mut client = WireClient::connect(addr, 0).expect("connect to wire server");
             let t0 = Instant::now();
             let states = client
-                .classify_shots_with_priority(Priority::Latency, std::slice::from_ref(&shot))
+                .classify_shots_opts(
+                    RequestOptions::new().priority(Priority::Latency),
+                    std::slice::from_ref(&shot),
+                )
                 .expect("fleet alive");
             println!(
                 "  latency lane: shot read as {:?} in {:.1} ms",
@@ -103,9 +110,7 @@ fn main() -> Result<(), KlinqError> {
     let mut pipelined = WireClient::connect(addr, 0).map_err(|e| KlinqError::Io(e.to_string()))?;
     let mut submitted = 0usize;
     for chunk in shots.chunks(64) {
-        pipelined
-            .submit_with_priority(Priority::Throughput, chunk)
-            .expect("fleet alive");
+        pipelined.submit_opts(RequestOptions::new(), chunk).expect("fleet alive");
         submitted += 1;
     }
     let mut answered = 0usize;

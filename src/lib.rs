@@ -25,12 +25,12 @@
 //!
 //! ```no_run
 //! use klinq::core::experiments::ExperimentConfig;
-//! use klinq::core::KlinqSystem;
+//! use klinq::core::{Backend, KlinqSystem};
 //!
 //! // Train a complete (scaled-down) KLiNQ system and read a qubit.
 //! let config = ExperimentConfig::smoke();
 //! let system = KlinqSystem::train(&config).expect("training succeeds");
-//! let report = system.evaluate();
+//! let report = system.evaluate_on(Backend::Float);
 //! println!("five-qubit geometric-mean fidelity: {:.3}", report.geometric_mean());
 //! ```
 

@@ -1,7 +1,7 @@
 //! Cross-crate integration: simulator → training → distillation →
 //! evaluation → FPGA compilation, all through the public facade.
 
-use klinq::core::{KlinqSystem, StudentArch};
+use klinq::core::{Backend, KlinqSystem, StudentArch};
 use klinq::fpga::latency::{avg_norm_stages, mf_stages, network_stages};
 
 mod common;
@@ -13,7 +13,7 @@ fn system() -> &'static KlinqSystem {
 #[test]
 fn full_pipeline_trains_and_discriminates() {
     let sys = system();
-    let report = sys.evaluate();
+    let report = sys.evaluate_on(Backend::Float);
     assert_eq!(report.per_qubit().len(), 5);
     assert!(report.geometric_mean() > 0.7, "{report}");
     // F4Q (excluding the noisy qubit 2) always dominates F5Q.
@@ -60,8 +60,8 @@ fn fpga_and_float_paths_agree_on_decisions() {
         let shot = data.shot(s);
         for qb in 0..5 {
             let t = &shot.traces[qb];
-            let float_state = sys.discriminator(qb).measure(&t.i, &t.q);
-            let hw_state = sys.discriminator(qb).measure_hw(&t.i, &t.q);
+            let float_state = sys.discriminator(qb).measure_on(Backend::Float, &t.i, &t.q);
+            let hw_state = sys.discriminator(qb).measure_on(Backend::Hardware, &t.i, &t.q);
             disagreements += (float_state != hw_state) as usize;
             total += 1;
         }
@@ -79,13 +79,13 @@ fn mid_circuit_measurement_matches_batch_evaluation() {
     let data = sys.test_data();
     // measure() on each shot must reproduce the per-qubit fidelity that
     // evaluate() reports.
-    let report = sys.evaluate();
+    let report = sys.evaluate_on(Backend::Float);
     for qb in [0usize, 2, 4] {
         let labels = data.qubit_labels(qb);
         let correct = (0..data.len())
             .filter(|&s| {
                 let t = &data.shot(s).traces[qb];
-                sys.measure(qb, &t.i, &t.q) == (labels[s] == 1.0)
+                sys.measure_on(Backend::Float, qb, &t.i, &t.q) == (labels[s] == 1.0)
             })
             .count();
         let manual = correct as f64 / labels.len() as f64;
@@ -124,7 +124,7 @@ fn per_duration_retraining_keeps_input_dims_fixed() {
 #[test]
 fn serde_round_trip_of_reports() {
     let sys = system();
-    let report = sys.evaluate();
+    let report = sys.evaluate_on(Backend::Float);
     let json = serde_json::to_string(&report).expect("serialize");
     let back: klinq::core::FidelityReport = serde_json::from_str(&json).expect("deserialize");
     assert_eq!(report, back);
