@@ -89,6 +89,7 @@
 #![forbid(unsafe_code)]
 
 pub mod chaos;
+mod metrics;
 pub mod sched;
 mod server;
 mod shard;
@@ -97,9 +98,8 @@ pub mod wire;
 
 pub use chaos::CrashFaults;
 pub use sched::{RequestOptions, SchedPolicy, TenantId, TenantSpec, TenantStats};
-pub use server::{
-    Priority, ReadoutClient, ReadoutServer, ServeConfig, ServeError, ServeStats, NUM_QUBITS,
-};
+pub use metrics::ServeStats;
+pub use server::{Priority, ReadoutClient, ReadoutServer, ServeConfig, ServeError, NUM_QUBITS};
 pub use shard::ShardedReadoutServer;
 pub use supervise::{ShardHealth, ShardHealthReport, SuperviseConfig};
 pub use wire::{

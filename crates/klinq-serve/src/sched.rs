@@ -78,6 +78,7 @@
 //! # Ok::<(), klinq_serve::ServeError>(())
 //! ```
 
+pub use crate::metrics::TenantStats;
 use crate::server::Priority;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -232,64 +233,6 @@ impl RequestOptions {
     pub fn failover(mut self, allow: bool) -> Self {
         self.allow_failover = allow;
         self
-    }
-}
-
-/// A point-in-time snapshot of one tenant's serving counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TenantStats {
-    /// The tenant's id (its index in [`SchedPolicy::tenants`]).
-    pub id: TenantId,
-    /// The tenant's name from its [`TenantSpec`].
-    pub name: String,
-    /// The tenant's scheduling weight.
-    pub weight: u32,
-    /// Requests answered with states.
-    pub requests: u64,
-    /// Shots answered with states.
-    pub shots: u64,
-    /// Requests shed with [`crate::ServeError::Overloaded`] — the
-    /// tenant's quota or the global intake bound.
-    pub shed: u64,
-    /// Requests answered with [`crate::ServeError::DeadlineExceeded`].
-    pub deadline_misses: u64,
-    /// Requests answered with [`crate::ServeError::Poisoned`] — they
-    /// deterministically panicked classification and were quarantined.
-    pub poisoned: u64,
-    /// Requests this tenant submitted to a down shard that were routed
-    /// to a healthy peer ([`RequestOptions::allow_failover`]). Counted
-    /// on the shard the request was originally bound to.
-    pub failovers: u64,
-    /// Requests queued right now (a gauge; summed across shards in the
-    /// fleet view).
-    pub queued_requests: u64,
-    /// High-water mark of the tenant's queued shots.
-    pub peak_queued_shots: u64,
-}
-
-impl TenantStats {
-    /// Aggregates another shard's counters for the same tenant into a
-    /// fleet view: counters add, the peak takes the max.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other` describes a different tenant — merging across
-    /// tenant tables is a caller bug.
-    pub fn merge(&self, other: &Self) -> Self {
-        assert_eq!(self.id, other.id, "merging stats of different tenants");
-        Self {
-            id: self.id,
-            name: self.name.clone(),
-            weight: self.weight,
-            requests: self.requests + other.requests,
-            shots: self.shots + other.shots,
-            shed: self.shed + other.shed,
-            deadline_misses: self.deadline_misses + other.deadline_misses,
-            poisoned: self.poisoned + other.poisoned,
-            failovers: self.failovers + other.failovers,
-            queued_requests: self.queued_requests + other.queued_requests,
-            peak_queued_shots: self.peak_queued_shots.max(other.peak_queued_shots),
-        }
     }
 }
 

@@ -31,13 +31,14 @@
 //!   delivering stale work.
 
 use crate::chaos::{self, Chaos, CrashFaults};
+use crate::metrics::{ServeAtomics, ServeStats, TenantAtomics};
 use crate::sched::{QueuedItem, RequestOptions, SchedPolicy, Scheduler, TenantId, TenantStats};
-use crate::supervise::{ChaosCrash, ShardHealth, ShardMonitor, SuperviseConfig};
+use crate::supervise::{ChaosCrash, ShardHealth, ShardHealthReport, ShardMonitor, SuperviseConfig};
 use klinq_core::{Backend, BatchDiscriminator, KlinqSystem, ShotStates};
 use klinq_sim::Shot;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
@@ -224,284 +225,86 @@ impl std::error::Error for ServeError {}
 /// [`ShotStates`]). Per-qubit drift and canary telemetry is sized to it.
 pub const NUM_QUBITS: usize = 5;
 
-/// One tenant's serving counters (see [`TenantStats`] for semantics).
-#[derive(Debug, Default)]
-pub(crate) struct TenantCounters {
-    requests: AtomicU64,
-    shots: AtomicU64,
-    shed: AtomicU64,
-    deadline_misses: AtomicU64,
-    poisoned: AtomicU64,
-    failovers: AtomicU64,
-    queued_requests: AtomicU64,
-    peak_queued_shots: AtomicU64,
-}
-
-/// Counters the collector maintains (shared snapshot-style with handles).
+/// One shard's shared counter block: the [`ServeStats`] and per-tenant
+/// atomics plus the health machine. A restart reuses the same
+/// `Arc<Counters>`, so every count is monotonic over the shard's
+/// lifetime by construction.
 #[derive(Debug, Default)]
 pub(crate) struct Counters {
-    requests: AtomicU64,
-    shots: AtomicU64,
-    batches: AtomicU64,
-    largest_batch: AtomicU64,
-    shed: AtomicU64,
-    latency_requests: AtomicU64,
-    expedited_batches: AtomicU64,
-    deadline_misses: AtomicU64,
+    pub(crate) stats: ServeAtomics,
     /// One entry per tenant in [`SchedPolicy::tenants`] — sized at
     /// server start, never resized, so clients can validate tenant ids
     /// without a lock.
-    tenants: Vec<TenantCounters>,
-    // Live-ops: model versioning, canary lane, drift monitor.
-    model_version: AtomicU64,
-    model_swaps: AtomicU64,
-    canary_requests: AtomicU64,
-    canary_shots: AtomicU64,
-    canary_batches: AtomicU64,
-    canary_divergent_shots: AtomicU64,
-    canary_disagreements: [AtomicU64; NUM_QUBITS],
-    drift_shots: AtomicU64,
-    drift_excited: [AtomicU64; NUM_QUBITS],
-    calib_shots: AtomicU64,
-    calib_prepared_excited: [AtomicU64; NUM_QUBITS],
-    calib_false_excited: [AtomicU64; NUM_QUBITS],
-    calib_false_ground: [AtomicU64; NUM_QUBITS],
-    /// Supervision: the health state machine, heartbeat, and restart
-    /// counters. Inside the shared counter block so it survives
-    /// collector restarts exactly like the serving counters — a restart
-    /// reuses the same `Arc<Counters>`, so every count is monotonic
-    /// over the shard's lifetime by construction.
+    tenants: Vec<TenantAtomics>,
+    /// The health machine. Transitions that count go through the
+    /// `note_*`/`mark_*` methods below, which update `stats` with it.
     pub(crate) monitor: ShardMonitor,
 }
 
 impl Counters {
     /// Counters for a server running under `policy`.
-    fn new(policy: &SchedPolicy) -> Self {
+    pub(crate) fn new(policy: &SchedPolicy) -> Self {
         Self {
-            tenants: policy.tenants.iter().map(|_| TenantCounters::default()).collect(),
+            tenants: policy.tenants.iter().map(|_| Default::default()).collect(),
             ..Self::default()
         }
     }
 
     /// Records a deadline miss on the global and per-tenant counters.
     fn record_deadline_miss(&self, tenant: usize) {
-        self.deadline_misses.fetch_add(1, Ordering::Relaxed);
+        self.stats.deadline_misses.fetch_add(1, Ordering::Relaxed);
         self.tenants[tenant].deadline_misses.fetch_add(1, Ordering::Relaxed);
     }
-}
 
-/// Loads a per-qubit counter array into a plain snapshot array.
-fn load_per_qubit(counters: &[AtomicU64; NUM_QUBITS]) -> [u64; NUM_QUBITS] {
-    std::array::from_fn(|qb| counters[qb].load(Ordering::Relaxed))
-}
-
-/// Element-wise sum of two per-qubit snapshot arrays.
-fn add_per_qubit(a: [u64; NUM_QUBITS], b: [u64; NUM_QUBITS]) -> [u64; NUM_QUBITS] {
-    std::array::from_fn(|qb| a[qb] + b[qb])
-}
-
-/// A point-in-time snapshot of a server's coalescing behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServeStats {
-    /// Requests answered.
-    pub requests: u64,
-    /// Shots classified.
-    pub shots: u64,
-    /// Micro-batches executed.
-    pub batches: u64,
-    /// Largest micro-batch, in shots.
-    pub largest_batch: u64,
-    /// Requests shed with [`ServeError::Overloaded`] because the intake
-    /// queue was full.
-    pub shed: u64,
-    /// Answered requests that carried [`Priority::Latency`].
-    pub latency_requests: u64,
-    /// Micro-batches that closed early — skipping the linger window —
-    /// because they contained a [`Priority::Latency`] request.
-    pub expedited_batches: u64,
-    /// Requests answered with [`ServeError::DeadlineExceeded`] because
-    /// their deadline expired before classification completed (summed
-    /// over all tenants; [`ReadoutServer::tenant_stats`] splits it).
-    pub deadline_misses: u64,
-    /// TCP connections a wire front end accepted over its lifetime
-    /// (0 for a purely in-process server).
-    pub wire_accepted: u64,
-    /// Wire connections reaped for exceeding the idle timeout.
-    pub wire_reaped: u64,
-    /// Wire connections open right now.
-    pub wire_open: u64,
-    /// High-water mark of simultaneously open wire connections.
-    pub wire_peak_open: u64,
-    /// The model version serving right now. Starts at 1 and bumps on
-    /// every hot swap or canary promotion. In a merged fleet view this is
-    /// the max across shards (shards version independently).
-    pub model_version: u64,
-    /// Hot model swaps applied (including canary promotions).
-    pub model_swaps: u64,
-    /// Requests answered by the canary (candidate) model.
-    pub canary_requests: u64,
-    /// Shots classified by the canary model.
-    pub canary_shots: u64,
-    /// Micro-batches routed to the canary model.
-    pub canary_batches: u64,
-    /// Canary shots on which the candidate and primary disagreed on at
-    /// least one qubit. `canary_divergent_shots / canary_shots` is the
-    /// divergence rate an operator checks before promoting.
-    pub canary_divergent_shots: u64,
-    /// Per-qubit count of canary shots where candidate and primary
-    /// disagreed on that qubit's state.
-    pub canary_disagreements: [u64; NUM_QUBITS],
-    /// Shots feeding the drift monitor: every shot the server answered
-    /// (served states, whichever model produced them).
-    pub drift_shots: u64,
-    /// Per-qubit count of served shots read as excited. The running
-    /// excited fraction ([`Self::excited_fraction`]) drifting away from
-    /// its commissioning value is the label-free drift signal.
-    pub drift_excited: [u64; NUM_QUBITS],
-    /// Calibration shots answered (requests submitted through
-    /// [`ReadoutClient::classify_calibration_shots`], which carry their
-    /// prepared states as ground truth).
-    pub calib_shots: u64,
-    /// Per-qubit count of calibration shots prepared excited.
-    pub calib_prepared_excited: [u64; NUM_QUBITS],
-    /// Per-qubit count of calibration shots prepared ground but read
-    /// excited (the `P(1|0)` confusion numerator).
-    pub calib_false_excited: [u64; NUM_QUBITS],
-    /// Per-qubit count of calibration shots prepared excited but read
-    /// ground (the `P(0|1)` confusion numerator).
-    pub calib_false_ground: [u64; NUM_QUBITS],
-    /// Shards in this view (1 for a single server; summed in a fleet
-    /// merge, so the `shards_*` gauges below read as "out of N").
-    pub shards: u64,
-    /// Shards currently [`ShardHealth::Healthy`].
-    pub shards_healthy: u64,
-    /// Shards currently [`ShardHealth::Degraded`] (still serving).
-    pub shards_degraded: u64,
-    /// Shards currently [`ShardHealth::Down`].
-    pub shards_down: u64,
-    /// Shards currently [`ShardHealth::Restarting`].
-    pub shards_restarting: u64,
-    /// Micro-batch panics the quarantine caught (monotonic).
-    pub panics: u64,
-    /// Requests answered [`ServeError::Poisoned`] (monotonic).
-    pub poisoned: u64,
-    /// Transitions into [`ShardHealth::Down`] (monotonic — with
-    /// [`Self::restarts`], the observable trace of every
-    /// `Down → Restarting → Healthy` recovery).
-    pub downs: u64,
-    /// Completed shard restarts (monotonic).
-    pub restarts: u64,
-    /// Requests rerouted to a healthy peer while their shard was down
-    /// ([`RequestOptions::allow_failover`]).
-    pub failovers: u64,
-    /// Requests answered [`ServeError::ShardDown`].
-    pub shard_down_rejections: u64,
-    /// Duration of the most recent `Down → Healthy` recovery, in µs
-    /// (max across shards in a fleet merge; 0 before any restart).
-    pub recovery_us: u64,
-}
-
-impl ServeStats {
-    /// Mean shots per executed micro-batch (0 when nothing ran yet).
-    pub fn mean_batch_shots(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.shots as f64 / self.batches as f64
-        }
+    /// A micro-batch panic the quarantine caught.
+    pub(crate) fn note_panic(&self) {
+        self.stats.panics.fetch_add(1, Ordering::Relaxed);
+        self.monitor.degrade();
     }
 
-    /// Running fraction of served shots read as excited on one qubit
-    /// (`None` until anything was served). Tracked label-free over every
-    /// answered shot; a sustained move away from the value observed at
-    /// commissioning is the cheapest drift alarm.
-    pub fn excited_fraction(&self, qb: usize) -> Option<f64> {
-        (self.drift_shots > 0).then(|| self.drift_excited[qb] as f64 / self.drift_shots as f64)
+    /// A request answered [`ServeError::Poisoned`].
+    fn note_poisoned(&self, tenant: usize) {
+        self.stats.poisoned.fetch_add(1, Ordering::Relaxed);
+        self.tenants[tenant]
+            .poisoned
+            .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Running assignment fidelity on one qubit over the calibration
-    /// lane (`None` until calibration shots were served): the fraction
-    /// of calibration shots whose served state matched the prepared
-    /// state.
-    pub fn calibration_fidelity(&self, qb: usize) -> Option<f64> {
-        (self.calib_shots > 0).then(|| {
-            let errors = self.calib_false_excited[qb] + self.calib_false_ground[qb];
-            1.0 - errors as f64 / self.calib_shots as f64
-        })
+    /// A request rerouted to a healthy peer while this shard was down.
+    fn note_failover(&self, tenant: usize) {
+        self.stats.failovers.fetch_add(1, Ordering::Relaxed);
+        self.tenants[tenant]
+            .failovers
+            .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Running confusion estimates on one qubit over the calibration
-    /// lane: `(P(read 1 | prepared 0), P(read 0 | prepared 1))`. Either
-    /// side is `None` until its prepared class has been observed.
-    pub fn confusion(&self, qb: usize) -> (Option<f64>, Option<f64>) {
-        let prep_excited = self.calib_prepared_excited[qb];
-        let prep_ground = self.calib_shots - prep_excited;
-        (
-            (prep_ground > 0).then(|| self.calib_false_excited[qb] as f64 / prep_ground as f64),
-            (prep_excited > 0).then(|| self.calib_false_ground[qb] as f64 / prep_excited as f64),
-        )
+    /// A request answered [`ServeError::ShardDown`].
+    fn note_shard_down_rejection(&self) {
+        self.stats
+            .shard_down_rejections
+            .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Fraction of canary shots where the candidate disagreed with the
-    /// primary on at least one qubit (`None` until the canary served).
-    /// The number an operator checks before
-    /// [`ReadoutServer::promote_canary`].
-    pub fn canary_divergence(&self) -> Option<f64> {
-        (self.canary_shots > 0)
-            .then(|| self.canary_divergent_shots as f64 / self.canary_shots as f64)
+    /// The watchdog (or a degraded bundle boot) declares the shard down.
+    pub(crate) fn mark_down(&self) {
+        self.stats.downs.fetch_add(1, Ordering::Relaxed);
+        self.monitor.enter_down();
     }
 
-    /// Field-wise sum — aggregates per-shard stats into a fleet view
-    /// (`largest_batch`, `wire_peak_open` and `model_version` take the
-    /// max, the rest add).
-    pub fn merge(&self, other: &Self) -> Self {
-        Self {
-            requests: self.requests + other.requests,
-            shots: self.shots + other.shots,
-            batches: self.batches + other.batches,
-            largest_batch: self.largest_batch.max(other.largest_batch),
-            shed: self.shed + other.shed,
-            latency_requests: self.latency_requests + other.latency_requests,
-            expedited_batches: self.expedited_batches + other.expedited_batches,
-            deadline_misses: self.deadline_misses + other.deadline_misses,
-            wire_accepted: self.wire_accepted + other.wire_accepted,
-            wire_reaped: self.wire_reaped + other.wire_reaped,
-            wire_open: self.wire_open + other.wire_open,
-            wire_peak_open: self.wire_peak_open.max(other.wire_peak_open),
-            model_version: self.model_version.max(other.model_version),
-            model_swaps: self.model_swaps + other.model_swaps,
-            canary_requests: self.canary_requests + other.canary_requests,
-            canary_shots: self.canary_shots + other.canary_shots,
-            canary_batches: self.canary_batches + other.canary_batches,
-            canary_divergent_shots: self.canary_divergent_shots + other.canary_divergent_shots,
-            canary_disagreements: add_per_qubit(
-                self.canary_disagreements,
-                other.canary_disagreements,
-            ),
-            drift_shots: self.drift_shots + other.drift_shots,
-            drift_excited: add_per_qubit(self.drift_excited, other.drift_excited),
-            calib_shots: self.calib_shots + other.calib_shots,
-            calib_prepared_excited: add_per_qubit(
-                self.calib_prepared_excited,
-                other.calib_prepared_excited,
-            ),
-            calib_false_excited: add_per_qubit(
-                self.calib_false_excited,
-                other.calib_false_excited,
-            ),
-            calib_false_ground: add_per_qubit(self.calib_false_ground, other.calib_false_ground),
-            shards: self.shards + other.shards,
-            shards_healthy: self.shards_healthy + other.shards_healthy,
-            shards_degraded: self.shards_degraded + other.shards_degraded,
-            shards_down: self.shards_down + other.shards_down,
-            shards_restarting: self.shards_restarting + other.shards_restarting,
-            panics: self.panics + other.panics,
-            poisoned: self.poisoned + other.poisoned,
-            downs: self.downs + other.downs,
-            restarts: self.restarts + other.restarts,
-            failovers: self.failovers + other.failovers,
-            shard_down_rejections: self.shard_down_rejections + other.shard_down_rejections,
-            recovery_us: self.recovery_us.max(other.recovery_us),
+    /// A fresh collector is serving: record the recovery, go `Healthy`.
+    pub(crate) fn mark_recovered(&self) {
+        let spell_us = self.monitor.down_for().as_micros() as u64;
+        self.stats.recovery_us.store(spell_us, Ordering::Relaxed);
+        self.stats.restarts.fetch_add(1, Ordering::Relaxed);
+        self.monitor.enter_healthy();
+    }
+
+    /// Health, restarts and downs: the wire health query's answer.
+    pub(crate) fn report(&self) -> ShardHealthReport {
+        ShardHealthReport {
+            health: self.monitor.health(),
+            restarts: self.stats.restarts.load(Ordering::Relaxed),
+            downs: self.stats.downs.load(Ordering::Relaxed),
         }
     }
 }
@@ -552,7 +355,7 @@ impl Drop for Reply {
             let error = if self.counters.monitor.is_stopped() {
                 ServeError::Closed
             } else {
-                self.counters.monitor.note_shard_down_rejection();
+                self.counters.note_shard_down_rejection();
                 ServeError::ShardDown
             };
             // This drop may run while the collector unwinds from a
@@ -662,10 +465,6 @@ impl ShardLink {
         let tx = self.tx.read().unwrap().clone();
         tx.send(msg)
     }
-
-    pub(crate) fn monitor(&self) -> &ShardMonitor {
-        &self.counters.monitor
-    }
 }
 
 /// Fleet-wide failover routing: every shard's link, so a client bound
@@ -694,7 +493,7 @@ impl Router {
             .map(|i| (start + i) % n)
             .filter(|&i| i != device)
             .map(|i| &self.links[i])
-            .find(|link| !link.monitor().is_stopped() && link.monitor().is_serving())
+            .find(|link| !link.counters.monitor.is_stopped() && link.counters.monitor.is_serving())
             .map(Arc::clone)
     }
 }
@@ -866,7 +665,7 @@ impl ReadoutClient {
                 // disarm the returned request's reply guard first.
                 let (error, msg) = match e {
                     TrySendError::Full(msg) => {
-                        target.counters.shed.fetch_add(1, Ordering::Relaxed);
+                        target.counters.stats.shed.fetch_add(1, Ordering::Relaxed);
                         target.counters.tenants[tenant].shed.fetch_add(1, Ordering::Relaxed);
                         (ServeError::Overloaded { retry_after: None }, msg)
                     }
@@ -875,10 +674,10 @@ impl ReadoutClient {
                         // and the send. An orderly shutdown stays
                         // `Closed`; a crash is a down shard (the
                         // watchdog, if any, will restart it).
-                        let error = if target.monitor().is_stopped() {
+                        let error = if target.counters.monitor.is_stopped() {
                             ServeError::Closed
                         } else {
-                            target.monitor().note_shard_down_rejection();
+                            target.counters.note_shard_down_rejection();
                             ServeError::ShardDown
                         };
                         (error, msg)
@@ -896,7 +695,7 @@ impl ReadoutClient {
     /// it serves, a healthy peer when it is down and the request allows
     /// failover, a typed [`ServeError::ShardDown`] otherwise.
     fn route_link(&self, opts: &RequestOptions, tenant: usize) -> Result<Arc<ShardLink>, ServeError> {
-        let monitor = self.link.monitor();
+        let monitor = &self.link.counters.monitor;
         if monitor.is_stopped() {
             return Err(ServeError::Closed);
         }
@@ -907,21 +706,18 @@ impl ReadoutClient {
             if let Some(peer) = self.router.as_ref().and_then(|r| r.healthy_peer(self.device)) {
                 // Billed to the shard the request was bound to — the
                 // failover count is the down shard's story.
-                monitor.note_failover();
-                self.link.counters.tenants[tenant]
-                    .failovers
-                    .fetch_add(1, Ordering::Relaxed);
+                self.link.counters.note_failover(tenant);
                 return Ok(peer);
             }
         }
-        monitor.note_shard_down_rejection();
+        self.link.counters.note_shard_down_rejection();
         Err(ServeError::ShardDown)
     }
 
     /// This handle's shard health, restart and down counts — what the
     /// wire health query reports per device.
     pub(crate) fn health_report(&self) -> crate::supervise::ShardHealthReport {
-        self.link.monitor().report()
+        self.link.counters.report()
     }
 }
 
@@ -933,12 +729,9 @@ impl ReadoutClient {
 pub struct ReadoutServer {
     link: Arc<ShardLink>,
     collector: Option<JoinHandle<()>>,
-    counters: Arc<Counters>,
-    /// The tenant table the server runs under, kept for
-    /// [`Self::tenant_stats`] snapshots.
-    sched: SchedPolicy,
     /// Kept for collector respawns (shard restart) — a restarted
-    /// collector runs the exact configuration the shard started with.
+    /// collector runs the exact configuration the shard started with —
+    /// and for the tenant table behind [`Self::tenant_stats`].
     config: ServeConfig,
 }
 
@@ -966,15 +759,13 @@ impl ReadoutServer {
         // policy panics the caller immediately.
         let sched: Scheduler<Request> = Scheduler::new(&config.sched);
         let counters = Arc::new(Counters::new(&config.sched));
-        counters.model_version.store(1, Ordering::Relaxed);
+        counters.stats.model_version.store(1, Ordering::Relaxed);
         counters.monitor.beat();
         let (tx, rx) = mpsc::sync_channel(config.max_pending);
         let collector = spawn_collector(system, config.clone(), sched, rx, Arc::clone(&counters));
         Self {
-            link: Arc::new(ShardLink::new(tx, Arc::clone(&counters))),
+            link: Arc::new(ShardLink::new(tx, counters)),
             collector: Some(collector),
-            counters,
-            sched: config.sched.clone(),
             config,
         }
     }
@@ -988,15 +779,13 @@ impl ReadoutServer {
         Self::assert_config(&config);
         let _probe: Scheduler<Request> = Scheduler::new(&config.sched);
         let counters = Arc::new(Counters::new(&config.sched));
-        counters.monitor.mark_down();
+        counters.mark_down();
         // A sender whose receiver is already gone: any send fails
         // `Disconnected`, and the health gate answers before that.
         let (tx, _dead_rx) = mpsc::sync_channel(1);
         Self {
-            link: Arc::new(ShardLink::new(tx, Arc::clone(&counters))),
+            link: Arc::new(ShardLink::new(tx, counters)),
             collector: None,
-            counters,
-            sched: config.sched.clone(),
             config,
         }
     }
@@ -1022,8 +811,8 @@ impl ReadoutServer {
         }
         let sched: Scheduler<Request> = Scheduler::new(&self.config.sched);
         let (tx, rx) = mpsc::sync_channel(self.config.max_pending);
-        let collector =
-            spawn_collector(system, self.config.clone(), sched, rx, Arc::clone(&self.counters));
+        let counters = Arc::clone(&self.link.counters);
+        let collector = spawn_collector(system, self.config.clone(), sched, rx, counters);
         self.link.swap_tx(tx);
         self.collector = Some(collector);
     }
@@ -1034,8 +823,8 @@ impl ReadoutServer {
         self.collector.as_ref().is_none_or(JoinHandle::is_finished)
     }
 
-    pub(crate) fn monitor(&self) -> &ShardMonitor {
-        &self.counters.monitor
+    pub(crate) fn counters(&self) -> &Counters {
+        &self.link.counters
     }
 
     pub(crate) fn link(&self) -> Arc<ShardLink> {
@@ -1046,7 +835,7 @@ impl ReadoutServer {
     /// so only `Healthy`/`Degraded` arise here; fleet shards see the
     /// full machine).
     pub fn health(&self) -> ShardHealth {
-        self.counters.monitor.health()
+        self.counters().monitor.health()
     }
 
     /// A new client handle for this server.
@@ -1071,43 +860,14 @@ impl ReadoutServer {
     /// A snapshot of the coalescing counters (the `wire_*` fields stay
     /// zero here — they belong to a wire front end's own stats).
     pub fn stats(&self) -> ServeStats {
-        let monitor = &self.counters.monitor;
-        let health = monitor.health();
+        let health = self.counters().monitor.health();
         ServeStats {
-            requests: self.counters.requests.load(Ordering::Relaxed),
-            shots: self.counters.shots.load(Ordering::Relaxed),
-            batches: self.counters.batches.load(Ordering::Relaxed),
-            largest_batch: self.counters.largest_batch.load(Ordering::Relaxed),
-            shed: self.counters.shed.load(Ordering::Relaxed),
-            latency_requests: self.counters.latency_requests.load(Ordering::Relaxed),
-            expedited_batches: self.counters.expedited_batches.load(Ordering::Relaxed),
-            deadline_misses: self.counters.deadline_misses.load(Ordering::Relaxed),
-            model_version: self.counters.model_version.load(Ordering::Relaxed),
-            model_swaps: self.counters.model_swaps.load(Ordering::Relaxed),
-            canary_requests: self.counters.canary_requests.load(Ordering::Relaxed),
-            canary_shots: self.counters.canary_shots.load(Ordering::Relaxed),
-            canary_batches: self.counters.canary_batches.load(Ordering::Relaxed),
-            canary_divergent_shots: self.counters.canary_divergent_shots.load(Ordering::Relaxed),
-            canary_disagreements: load_per_qubit(&self.counters.canary_disagreements),
-            drift_shots: self.counters.drift_shots.load(Ordering::Relaxed),
-            drift_excited: load_per_qubit(&self.counters.drift_excited),
-            calib_shots: self.counters.calib_shots.load(Ordering::Relaxed),
-            calib_prepared_excited: load_per_qubit(&self.counters.calib_prepared_excited),
-            calib_false_excited: load_per_qubit(&self.counters.calib_false_excited),
-            calib_false_ground: load_per_qubit(&self.counters.calib_false_ground),
             shards: 1,
             shards_healthy: u64::from(health == ShardHealth::Healthy),
             shards_degraded: u64::from(health == ShardHealth::Degraded),
             shards_down: u64::from(health == ShardHealth::Down),
             shards_restarting: u64::from(health == ShardHealth::Restarting),
-            panics: monitor.panics_count(),
-            poisoned: monitor.poisoned_count(),
-            downs: monitor.downs_count(),
-            restarts: monitor.restarts_count(),
-            failovers: monitor.failovers_count(),
-            shard_down_rejections: monitor.shard_down_rejections_count(),
-            recovery_us: monitor.recovery_us_value(),
-            ..ServeStats::default()
+            ..self.counters().stats.snapshot()
         }
     }
 
@@ -1115,31 +875,20 @@ impl ReadoutServer {
     /// sheds, deadline misses, and queue-depth gauges for each tenant
     /// declared in [`SchedPolicy::tenants`].
     pub fn tenant_stats(&self) -> Vec<TenantStats> {
-        self.sched
+        self.config
+            .sched
             .tenants
             .iter()
-            .zip(&self.counters.tenants)
+            .zip(&self.counters().tenants)
             .enumerate()
-            .map(|(i, (spec, c))| TenantStats {
-                id: TenantId(i as u32),
-                name: spec.name.clone(),
-                weight: spec.weight,
-                requests: c.requests.load(Ordering::Relaxed),
-                shots: c.shots.load(Ordering::Relaxed),
-                shed: c.shed.load(Ordering::Relaxed),
-                deadline_misses: c.deadline_misses.load(Ordering::Relaxed),
-                poisoned: c.poisoned.load(Ordering::Relaxed),
-                failovers: c.failovers.load(Ordering::Relaxed),
-                queued_requests: c.queued_requests.load(Ordering::Relaxed),
-                peak_queued_shots: c.peak_queued_shots.load(Ordering::Relaxed),
-            })
+            .map(|(i, (spec, c))| c.snapshot(TenantId(i as u32), spec.name.clone(), spec.weight))
             .collect()
     }
 
     /// The model version serving right now (starts at 1, bumps on every
     /// swap or promotion).
     pub fn model_version(&self) -> u64 {
-        self.counters.model_version.load(Ordering::Relaxed)
+        self.counters().stats.model_version.load(Ordering::Relaxed)
     }
 
     /// Blue/green hot swap: atomically replaces the serving
@@ -1231,7 +980,7 @@ impl ReadoutServer {
     /// blocking `send` (like shutdown's) rides out a momentarily full
     /// intake queue instead of bouncing the command.
     fn send_control(&self, control: Control) -> Result<(), ServeError> {
-        let monitor = self.link.monitor();
+        let monitor = &self.link.counters.monitor;
         self.link.send(Msg::Control(control)).map_err(|_| {
             if monitor.is_stopped() || monitor.is_serving() {
                 ServeError::Closed
@@ -1260,7 +1009,7 @@ impl ReadoutServer {
         // Stopped-first ordering: anything failing from here on — a
         // submission racing teardown, a request buffered past the
         // sentinel — answers `Closed`, not `ShardDown`.
-        self.counters.monitor.mark_stopped();
+        self.counters().monitor.mark_stopped();
         // An explicit sentinel (rather than relying on sender
         // disconnection) lets shutdown complete even while cloned
         // `ReadoutClient` handles are still alive; the collector finishes
@@ -1431,8 +1180,8 @@ fn install(
         )));
     }
     *active = Model::new(system);
-    counters.model_swaps.fetch_add(1, Ordering::Relaxed);
-    Ok(counters.model_version.fetch_add(1, Ordering::Relaxed) + 1)
+    counters.stats.model_swaps.fetch_add(1, Ordering::Relaxed);
+    Ok(counters.stats.model_version.fetch_add(1, Ordering::Relaxed) + 1)
 }
 
 /// Applies one live-ops command. Called only between micro-batches.
@@ -1538,7 +1287,7 @@ fn route(req: Request, sched: &mut Scheduler<Request>, active: &Model, counters:
             // The tenant's own quota is exhausted — everyone else keeps
             // flowing. Unlike the global-queue shed, a backlog estimate
             // exists, so the hint rides along.
-            counters.shed.fetch_add(1, Ordering::Relaxed);
+            counters.stats.shed.fetch_add(1, Ordering::Relaxed);
             counters.tenants[tenant].shed.fetch_add(1, Ordering::Relaxed);
             let retry_after = sched.retry_after(tenant);
             item.payload.reply.send(Err(ServeError::Overloaded { retry_after }));
@@ -1569,21 +1318,19 @@ struct BatchEntry {
 /// running per-qubit excited fractions over the states actually served
 /// (whichever model produced them).
 fn note_batch(counters: &Counters, states: &[ShotStates]) {
-    counters.shots.fetch_add(states.len() as u64, Ordering::Relaxed);
-    counters.batches.fetch_add(1, Ordering::Relaxed);
-    counters
-        .largest_batch
-        .fetch_max(states.len() as u64, Ordering::Relaxed);
-    counters
-        .drift_shots
-        .fetch_add(states.len() as u64, Ordering::Relaxed);
+    let stats = &counters.stats;
+    let shots = states.len() as u64;
+    stats.shots.fetch_add(shots, Ordering::Relaxed);
+    stats.batches.fetch_add(1, Ordering::Relaxed);
+    stats.largest_batch.fetch_max(shots, Ordering::Relaxed);
+    stats.drift_shots.fetch_add(shots, Ordering::Relaxed);
     let mut excited = [0u64; NUM_QUBITS];
     for row in states {
         for qb in 0..NUM_QUBITS {
             excited[qb] += u64::from(row[qb]);
         }
     }
-    for (counter, &n) in counters.drift_excited.iter().zip(&excited) {
+    for (counter, &n) in stats.drift_excited.iter().zip(&excited) {
         counter.fetch_add(n, Ordering::Relaxed);
     }
 }
@@ -1612,7 +1359,8 @@ fn settle_one(entry: BatchEntry, states: &[ShotStates], shots: &[Shot], offset: 
     if calibration {
         // Calibration lane: the shot buffer is still alive, so
         // each shot's prepared states score the served states.
-        counters.calib_shots.fetch_add(count as u64, Ordering::Relaxed);
+        let stats = &counters.stats;
+        stats.calib_shots.fetch_add(count as u64, Ordering::Relaxed);
         let mut prep_excited = [0u64; NUM_QUBITS];
         let mut false_excited = [0u64; NUM_QUBITS];
         let mut false_ground = [0u64; NUM_QUBITS];
@@ -1629,9 +1377,9 @@ fn settle_one(entry: BatchEntry, states: &[ShotStates], shots: &[Shot], offset: 
             }
         }
         for qb in 0..NUM_QUBITS {
-            counters.calib_prepared_excited[qb].fetch_add(prep_excited[qb], Ordering::Relaxed);
-            counters.calib_false_excited[qb].fetch_add(false_excited[qb], Ordering::Relaxed);
-            counters.calib_false_ground[qb].fetch_add(false_ground[qb], Ordering::Relaxed);
+            stats.calib_prepared_excited[qb].fetch_add(prep_excited[qb], Ordering::Relaxed);
+            stats.calib_false_excited[qb].fetch_add(false_excited[qb], Ordering::Relaxed);
+            stats.calib_false_ground[qb].fetch_add(false_ground[qb], Ordering::Relaxed);
         }
     }
     let t = &counters.tenants[tenant];
@@ -1639,7 +1387,7 @@ fn settle_one(entry: BatchEntry, states: &[ShotStates], shots: &[Shot], offset: 
     t.shots.fetch_add(count as u64, Ordering::Relaxed);
     // Counted before the reply lands: a client that sees its answer
     // must also see it in the stats.
-    counters.requests.fetch_add(1, Ordering::Relaxed);
+    counters.stats.requests.fetch_add(1, Ordering::Relaxed);
     reply.send(Ok(states[offset..offset + count].to_vec()));
 }
 
@@ -1669,7 +1417,7 @@ fn replay_solo(
             match catch_unwind(AssertUnwindSafe(|| active.classify(config.backend, slice))) {
                 Ok(states) => Some(states),
                 Err(_) => {
-                    counters.monitor.note_panic();
+                    counters.note_panic();
                     None
                 }
             }
@@ -1681,8 +1429,7 @@ fn replay_solo(
                 settle_one(entry, &states, slice, 0, counters);
             }
             None => {
-                counters.monitor.note_poisoned();
-                counters.tenants[entry.tenant].poisoned.fetch_add(1, Ordering::Relaxed);
+                counters.note_poisoned(entry.tenant);
                 entry.reply.send(Err(ServeError::Poisoned));
             }
         }
@@ -1726,11 +1473,12 @@ fn run_batch(
         });
         shots.extend(req.shots);
     }
-    counters
+    let stats = &counters.stats;
+    stats
         .latency_requests
         .fetch_add(latency_requests, Ordering::Relaxed);
     if expedited {
-        counters.expedited_batches.fetch_add(1, Ordering::Relaxed);
+        stats.expedited_batches.fetch_add(1, Ordering::Relaxed);
     }
 
     // Crash-fault draws — pure decisions, taken before the unwind
@@ -1778,7 +1526,7 @@ fn run_batch(
     let (canary_states, primary_states) = match outcome {
         Ok(classified) => classified,
         Err(_) => {
-            counters.monitor.note_panic();
+            counters.note_panic();
             replay_solo(entries, &shots, &poison, active, config, counters);
             return;
         }
@@ -1790,11 +1538,11 @@ fn run_batch(
     sched.observe_service(started.elapsed().as_nanos() as f64 / shots.len() as f64);
     let states = match &canary_states {
         Some(cs) => {
-            counters.canary_batches.fetch_add(1, Ordering::Relaxed);
-            counters
+            stats.canary_batches.fetch_add(1, Ordering::Relaxed);
+            stats
                 .canary_requests
                 .fetch_add(entries.len() as u64, Ordering::Relaxed);
-            counters
+            stats
                 .canary_shots
                 .fetch_add(shots.len() as u64, Ordering::Relaxed);
             let mut divergent = 0u64;
@@ -1809,10 +1557,10 @@ fn run_batch(
                 }
                 divergent += u64::from(any);
             }
-            counters
+            stats
                 .canary_divergent_shots
                 .fetch_add(divergent, Ordering::Relaxed);
-            for (counter, &n) in counters.canary_disagreements.iter().zip(&disagreements) {
+            for (counter, &n) in stats.canary_disagreements.iter().zip(&disagreements) {
                 counter.fetch_add(n, Ordering::Relaxed);
             }
             cs

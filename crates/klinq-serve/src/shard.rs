@@ -41,7 +41,8 @@
 //! artifact — replacing the file on disk heals the shard without a
 //! fleet restart.
 
-use crate::server::{ReadoutClient, ReadoutServer, Router, ServeConfig, ServeError, ServeStats};
+use crate::metrics::ServeStats;
+use crate::server::{ReadoutClient, ReadoutServer, Router, ServeConfig, ServeError};
 use crate::supervise::{RestartSource, ShardHealth, ShardHealthReport, Supervisor};
 use klinq_core::{persist, KlinqError, KlinqSystem};
 use std::path::Path;
@@ -200,7 +201,7 @@ impl ShardedReadoutServer {
         self.shards
             .iter()
             // klinq-lint: allow(no-panic-serve) lock poisoning requires a prior panic, which this same rule forbids on the serve path
-            .map(|slot| slot.lock().unwrap().monitor().report())
+            .map(|slot| slot.lock().unwrap().counters().report())
             .collect()
     }
 
@@ -338,10 +339,10 @@ impl ShardedReadoutServer {
             .collect()
     }
 
-    /// Fleet-wide counters: per-shard stats merged (sums, with
-    /// `largest_batch` and `recovery_us` taking the max). The health
-    /// gauges aggregate — `shards_healthy + shards_degraded +
-    /// shards_down + shards_restarting == shards`.
+    /// Fleet-wide counters: per-shard stats folded by
+    /// [`ServeStats::merge`], each field under the merge rule its doc
+    /// states. The health gauges aggregate — `shards_healthy +
+    /// shards_degraded + shards_down + shards_restarting == shards`.
     pub fn stats(&self) -> ServeStats {
         self.shard_stats()
             .iter()
@@ -353,19 +354,12 @@ impl ShardedReadoutServer {
     /// runs the same [`SchedPolicy`](crate::sched::SchedPolicy), so
     /// tenant `i` is the same tenant on every shard).
     pub fn tenant_stats(&self) -> Vec<crate::sched::TenantStats> {
-        let mut merged: Vec<crate::sched::TenantStats> = Vec::new();
-        for slot in self.shards.iter() {
+        self.shards
+            .iter()
             // klinq-lint: allow(no-panic-serve) lock poisoning requires a prior panic, which this same rule forbids on the serve path
-            let stats = slot.lock().unwrap().tenant_stats();
-            if merged.is_empty() {
-                merged = stats;
-            } else {
-                for (acc, s) in merged.iter_mut().zip(&stats) {
-                    *acc = acc.merge(s);
-                }
-            }
-        }
-        merged
+            .map(|slot| slot.lock().unwrap().tenant_stats())
+            .reduce(|acc, stats| acc.iter().zip(&stats).map(|(a, s)| a.merge(s)).collect())
+            .unwrap_or_default()
     }
 
     /// Shuts the fleet down: stops the supervision watchdog first (so

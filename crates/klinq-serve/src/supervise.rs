@@ -149,10 +149,10 @@ const STATE_DEGRADED: u8 = 1;
 const STATE_DOWN: u8 = 2;
 const STATE_RESTARTING: u8 = 3;
 
-/// One shard's live health record: the state machine, the collector's
-/// heartbeat, and the monotonic supervision counters. Lives inside the
-/// shard's shared counter block, so it survives collector restarts by
-/// construction — exactly like the serving counters.
+/// One shard's health state machine: state, heartbeat, `Down` spell
+/// and clean-batch run. Lives inside the shard's shared counter block
+/// (whose `note_*`/`mark_*` methods count the events that drive it), so
+/// it survives collector restarts by construction.
 #[derive(Debug)]
 pub(crate) struct ShardMonitor {
     state: AtomicU8,
@@ -163,20 +163,6 @@ pub(crate) struct ShardMonitor {
     epoch: Instant,
     heartbeat_us: AtomicU64,
     down_since_us: AtomicU64,
-    /// Collector panics the quarantine caught (transient or poisoned).
-    panics: AtomicU64,
-    /// Requests answered [`crate::ServeError::Poisoned`].
-    poisoned: AtomicU64,
-    /// Transitions into [`ShardHealth::Down`].
-    downs: AtomicU64,
-    /// Completed restarts (`Restarting → Healthy`).
-    restarts: AtomicU64,
-    /// Requests rerouted to a healthy peer while this shard was down.
-    failovers: AtomicU64,
-    /// Requests answered [`crate::ServeError::ShardDown`].
-    shard_down_rejections: AtomicU64,
-    /// Duration of the most recent `Down → Healthy` recovery, in µs.
-    recovery_us: AtomicU64,
     clean_batches: AtomicU64,
 }
 
@@ -188,13 +174,6 @@ impl Default for ShardMonitor {
             epoch: Instant::now(),
             heartbeat_us: AtomicU64::new(0),
             down_since_us: AtomicU64::new(0),
-            panics: AtomicU64::new(0),
-            poisoned: AtomicU64::new(0),
-            downs: AtomicU64::new(0),
-            restarts: AtomicU64::new(0),
-            failovers: AtomicU64::new(0),
-            shard_down_rejections: AtomicU64::new(0),
-            recovery_us: AtomicU64::new(0),
             clean_batches: AtomicU64::new(0),
         }
     }
@@ -245,10 +224,9 @@ impl ShardMonitor {
         )
     }
 
-    /// A caught micro-batch panic: count it and degrade a healthy
-    /// shard. A run of clean batches promotes it back.
-    pub(crate) fn note_panic(&self) {
-        self.panics.fetch_add(1, Ordering::Relaxed);
+    /// A caught micro-batch panic: restart the clean run and degrade a
+    /// healthy shard. A run of clean batches promotes it back.
+    pub(crate) fn degrade(&self) {
         self.clean_batches.store(0, Ordering::Relaxed);
         let _ = self.state.compare_exchange(
             STATE_HEALTHY,
@@ -273,22 +251,8 @@ impl ShardMonitor {
         }
     }
 
-    pub(crate) fn note_poisoned(&self) {
-        self.poisoned.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_failover(&self) {
-        self.failovers.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_shard_down_rejection(&self) {
-        self.shard_down_rejections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The watchdog (or a degraded bundle boot) declares the shard
-    /// down.
-    pub(crate) fn mark_down(&self) {
-        self.downs.fetch_add(1, Ordering::Relaxed);
+    /// Starts a `Down` spell.
+    pub(crate) fn enter_down(&self) {
         self.down_since_us.store(self.now_us(), Ordering::Relaxed);
         self.state.store(STATE_DOWN, Ordering::Relaxed);
     }
@@ -303,51 +267,11 @@ impl ShardMonitor {
         self.state.store(STATE_DOWN, Ordering::Relaxed);
     }
 
-    /// A fresh collector is serving: record the recovery and go
-    /// `Healthy`.
-    pub(crate) fn mark_recovered(&self) {
-        let spell = self.now_us().saturating_sub(self.down_since_us.load(Ordering::Relaxed));
-        self.recovery_us.store(spell, Ordering::Relaxed);
-        self.restarts.fetch_add(1, Ordering::Relaxed);
+    /// A fresh collector is serving: end the spell and go `Healthy`.
+    pub(crate) fn enter_healthy(&self) {
         self.clean_batches.store(0, Ordering::Relaxed);
         self.beat();
         self.state.store(STATE_HEALTHY, Ordering::Relaxed);
-    }
-
-    pub(crate) fn report(&self) -> ShardHealthReport {
-        ShardHealthReport {
-            health: self.health(),
-            restarts: self.restarts.load(Ordering::Relaxed),
-            downs: self.downs.load(Ordering::Relaxed),
-        }
-    }
-
-    pub(crate) fn panics_count(&self) -> u64 {
-        self.panics.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn poisoned_count(&self) -> u64 {
-        self.poisoned.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn downs_count(&self) -> u64 {
-        self.downs.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn restarts_count(&self) -> u64 {
-        self.restarts.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn failovers_count(&self) -> u64 {
-        self.failovers.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn shard_down_rejections_count(&self) -> u64 {
-        self.shard_down_rejections.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn recovery_us_value(&self) -> u64 {
-        self.recovery_us.load(Ordering::Relaxed)
     }
 }
 
@@ -479,32 +403,32 @@ fn watchdog_loop(
         for (device, slot) in shards.iter().enumerate() {
             // klinq-lint: allow(no-panic-serve) lock poisoning requires a prior panic, which this same rule forbids on the serve path
             let mut shard = slot.lock().unwrap();
-            if shard.monitor().is_stopped() {
+            if shard.counters().monitor.is_stopped() {
                 continue;
             }
-            match shard.monitor().health() {
+            match shard.counters().monitor.health() {
                 ShardHealth::Healthy | ShardHealth::Degraded => {
                     if shard.collector_finished()
-                        || shard.monitor().heartbeat_age() > config.heartbeat_timeout
+                        || shard.counters().monitor.heartbeat_age() > config.heartbeat_timeout
                     {
-                        shard.monitor().mark_down();
+                        shard.counters().mark_down();
                         last_attempt[device] = None;
                     }
                 }
                 ShardHealth::Down => {
                     let due = match last_attempt[device] {
                         Some(at) => at.elapsed() >= config.restart_backoff,
-                        None => shard.monitor().down_for() >= config.restart_backoff,
+                        None => shard.counters().monitor.down_for() >= config.restart_backoff,
                     };
                     if due {
                         last_attempt[device] = Some(Instant::now());
-                        shard.monitor().mark_restarting();
+                        shard.counters().monitor.mark_restarting();
                         match sources[device].resolve() {
                             Some(system) => {
                                 shard.respawn(system);
-                                shard.monitor().mark_recovered();
+                                shard.counters().mark_recovered();
                             }
-                            None => shard.monitor().restart_failed(),
+                            None => shard.counters().monitor.restart_failed(),
                         }
                     }
                 }
@@ -519,12 +443,19 @@ fn watchdog_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::SchedPolicy;
+    use crate::server::Counters;
+
+    fn counters() -> Counters {
+        Counters::new(&SchedPolicy::default())
+    }
 
     #[test]
     fn degraded_promotes_back_after_clean_batches() {
-        let m = ShardMonitor::default();
+        let c = counters();
+        let m = &c.monitor;
         assert_eq!(m.health(), ShardHealth::Healthy);
-        m.note_panic();
+        c.note_panic();
         assert_eq!(m.health(), ShardHealth::Degraded);
         for _ in 0..DEGRADED_CLEAN_BATCHES - 1 {
             m.note_clean_batch();
@@ -532,36 +463,42 @@ mod tests {
         }
         m.note_clean_batch();
         assert_eq!(m.health(), ShardHealth::Healthy);
-        assert_eq!(m.panics_count(), 1);
+        assert_eq!(c.stats.snapshot().panics, 1);
     }
 
     #[test]
     fn a_panic_resets_the_clean_run() {
-        let m = ShardMonitor::default();
-        m.note_panic();
+        let c = counters();
+        let m = &c.monitor;
+        c.note_panic();
         for _ in 0..DEGRADED_CLEAN_BATCHES - 1 {
             m.note_clean_batch();
         }
-        m.note_panic();
+        c.note_panic();
         m.note_clean_batch();
         assert_eq!(m.health(), ShardHealth::Degraded, "clean run must restart after a panic");
     }
 
     #[test]
     fn down_restart_recovery_counts_are_monotonic() {
-        let m = ShardMonitor::default();
-        m.mark_down();
+        let c = counters();
+        let m = &c.monitor;
+        c.mark_down();
         assert_eq!(m.health(), ShardHealth::Down);
         m.mark_restarting();
         assert_eq!(m.health(), ShardHealth::Restarting);
         m.restart_failed();
         assert_eq!(m.health(), ShardHealth::Down);
-        assert_eq!(m.downs_count(), 1, "a failed attempt is the same Down spell");
+        assert_eq!(
+            c.stats.snapshot().downs,
+            1,
+            "a failed attempt is the same Down spell"
+        );
         m.mark_restarting();
-        m.mark_recovered();
+        c.mark_recovered();
         assert_eq!(m.health(), ShardHealth::Healthy);
-        assert_eq!(m.restarts_count(), 1);
-        assert_eq!(m.report().downs, 1);
+        assert_eq!(c.stats.snapshot().restarts, 1);
+        assert_eq!(c.report().downs, 1);
     }
 
     #[test]

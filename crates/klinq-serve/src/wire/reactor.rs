@@ -36,7 +36,8 @@
 //! `wire_*` fields of [`ServeStats`].
 
 use crate::chaos::{self, Chaos};
-use crate::server::{ReadoutClient, ServeError, ServeStats};
+use crate::metrics::{ServeAtomics, ServeStats};
+use crate::server::{ReadoutClient, ServeError};
 use crate::shard::ShardedReadoutServer;
 use crate::wire::codec::{
     decode_message, encode_error, encode_health_report, encode_response, WireError, WireMessage,
@@ -47,7 +48,7 @@ use klinq_core::ShotStates;
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -163,16 +164,6 @@ impl Default for WireConfig {
     }
 }
 
-/// Lifetime counters the reactor maintains, snapshot through
-/// [`WireServer::stats`].
-#[derive(Debug, Default)]
-pub(crate) struct WireCounters {
-    accepted: AtomicU64,
-    reaped: AtomicU64,
-    open: AtomicU64,
-    peak: AtomicU64,
-}
-
 /// One finished request on its way back into the event loop.
 struct Completion {
     token: u64,
@@ -236,13 +227,18 @@ impl Completions {
 
     #[cfg(target_os = "linux")]
     fn drain_waker(&self) {
-        // Re-arm before draining: a push racing past this point either
-        // sees `false` and notifies (a harmless spurious wakeup) or is
-        // already in the queue this iteration drains.
-        self.notified.store(false, Ordering::Release);
+        // Read the eventfd first, re-arm after, so that whenever
+        // `notified` is true either an eventfd signal is pending or the
+        // reactor is about to clear the flag. A push between the two
+        // skips its notify, but its completion is already queued for
+        // this iteration's drain; a push after the store signals afresh.
+        // Re-arming before the read would let the read consume a racing
+        // push's signal and strand the flag at true, silencing every
+        // later push's notify.
         if let Some(waker) = &self.waker {
             waker.drain();
         }
+        self.notified.store(false, Ordering::Release);
     }
 }
 
@@ -261,7 +257,7 @@ struct Reactor {
     next_token: u64,
     driver: Driver,
     completions: Arc<Completions>,
-    counters: Arc<WireCounters>,
+    counters: Arc<ServeAtomics>,
     stop: Arc<AtomicBool>,
     max_connections: usize,
     idle_timeout: Option<Duration>,
@@ -480,10 +476,12 @@ impl Reactor {
                     } else {
                         self.register_conn(token);
                     }
-                    self.counters.accepted.fetch_add(1, Ordering::Relaxed);
+                    self.counters.wire_accepted.fetch_add(1, Ordering::Relaxed);
                     let open = self.conns.len() as u64;
-                    self.counters.open.store(open, Ordering::Relaxed);
-                    self.counters.peak.fetch_max(open, Ordering::Relaxed);
+                    self.counters.wire_open.store(open, Ordering::Relaxed);
+                    self.counters
+                        .wire_peak_open
+                        .fetch_max(open, Ordering::Relaxed);
                     any = true;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -788,7 +786,7 @@ impl Reactor {
     fn close_conn(&mut self, token: u64) {
         if self.conns.remove(&token).is_some() {
             self.counters
-                .open
+                .wire_open
                 .store(self.conns.len() as u64, Ordering::Relaxed);
         }
     }
@@ -809,12 +807,9 @@ impl Reactor {
             .map(|(&token, _)| token)
             .collect();
         for token in idle {
-            self.counters.reaped.fetch_add(1, Ordering::Relaxed);
+            self.counters.wire_reaped.fetch_add(1, Ordering::Relaxed);
             self.close_conn(token);
         }
-        self.counters
-            .open
-            .store(self.conns.len() as u64, Ordering::Relaxed);
     }
 
     /// Accept backpressure: the listener sits in the epoll set exactly
@@ -860,7 +855,7 @@ pub struct WireServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     completions: Arc<Completions>,
-    counters: Arc<WireCounters>,
+    counters: Arc<ServeAtomics>,
     reactor: Option<JoinHandle<()>>,
 }
 
@@ -937,7 +932,7 @@ impl WireServer {
             ),
         };
         let stop = Arc::new(AtomicBool::new(false));
-        let counters = Arc::new(WireCounters::default());
+        let counters = Arc::new(ServeAtomics::default());
         let chaos_seed = config.chaos_seed.or_else(chaos::env_seed);
         let reactor = Reactor {
             listener: Some(listener),
@@ -980,13 +975,7 @@ impl WireServer {
     /// stay zero here — [`merge`](ServeStats::merge) with the fleet's
     /// stats for the full picture).
     pub fn stats(&self) -> ServeStats {
-        ServeStats {
-            wire_accepted: self.counters.accepted.load(Ordering::Relaxed),
-            wire_reaped: self.counters.reaped.load(Ordering::Relaxed),
-            wire_open: self.counters.open.load(Ordering::Relaxed),
-            wire_peak_open: self.counters.peak.load(Ordering::Relaxed),
-            ..ServeStats::default()
-        }
+        self.counters.snapshot()
     }
 
     /// Stops accepting and winds every connection down. Idle

@@ -441,3 +441,63 @@ fn the_reactor_sustains_256_pipelined_connections() {
     let fleet_stats = fleet.shutdown();
     assert_eq!(fleet_stats.requests, (CONNS * REQS_PER_CONN) as u64);
 }
+
+#[test]
+fn the_reactor_stays_live_with_no_reap_timer() {
+    // Idle reaping off: the reactor parks in `epoll_wait` with no
+    // timeout, so a completion reaches its connection only through the
+    // collectors' eventfd wakeup — a lost wakeup stalls the round past
+    // the 1 s read deadline instead of hiding behind a 250 ms reap
+    // tick. 64 connections with one request each in flight per round
+    // keep collectors completing while the reactor drains its waker.
+    const CONNS: usize = 64;
+    const ROUNDS: usize = 200;
+    const SLICE: usize = 2;
+    let sys = system();
+    let shots = sys.test_data().shots().to_vec();
+    let direct =
+        BatchDiscriminator::new(sys.discriminators()).classify_shots_on(Backend::Float, &shots);
+    let fleet = ShardedReadoutServer::start(vec![system()], ServeConfig::default());
+    let server = WireServer::start_with(
+        &fleet,
+        TcpListener::bind("127.0.0.1:0").unwrap(),
+        WireConfig {
+            idle_timeout: None,
+            ..WireConfig::default()
+        },
+    )
+    .unwrap();
+    let mut clients: Vec<WireClient> = (0..CONNS)
+        .map(|_| {
+            let mut client = WireClient::connect(server.local_addr(), 0).unwrap();
+            client
+                .set_read_timeout(Some(Duration::from_secs(1)))
+                .unwrap();
+            client
+        })
+        .collect();
+    for round in 0..ROUNDS {
+        let mut sent = Vec::with_capacity(CONNS);
+        for (c, client) in clients.iter_mut().enumerate() {
+            let s = (round * CONNS + c) * SLICE % (shots.len() - SLICE);
+            let id = client
+                .submit_opts(RequestOptions::new(), &shots[s..s + SLICE])
+                .expect("submitted");
+            sent.push((id, s));
+        }
+        for (client, (id, s)) in clients.iter_mut().zip(sent) {
+            let (got, result) = client
+                .recv_response()
+                .unwrap_or_else(|e| panic!("round {round}: no answer within 1 s: {e:?}"));
+            assert_eq!(got, id, "round {round}");
+            assert_eq!(
+                result.expect("served"),
+                direct[s..s + SLICE],
+                "round {round}"
+            );
+        }
+    }
+    drop(clients);
+    server.shutdown();
+    fleet.shutdown();
+}
