@@ -289,11 +289,6 @@ impl IqMatchedFilter {
         })
     }
 
-    /// Builds from two pre-trained single-channel filters.
-    pub fn from_channels(i: MatchedFilter, q: MatchedFilter) -> Self {
-        Self { i, q }
-    }
-
     /// The I-channel filter.
     pub fn i_filter(&self) -> &MatchedFilter {
         &self.i

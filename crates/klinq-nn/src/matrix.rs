@@ -152,17 +152,6 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Mutable borrow of row `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of bounds.
-    #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        assert!(r < self.rows, "row {r} out of bounds");
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Iterator over row slices.
     pub fn iter_rows(&self) -> impl Iterator<Item = &[f32]> {
         self.data.chunks_exact(self.cols)

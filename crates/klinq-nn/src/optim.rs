@@ -138,19 +138,6 @@ impl Adam {
             state: HashMap::new(),
         }
     }
-
-    /// Overrides the moment-decay coefficients.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either beta is outside `[0, 1)`.
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        assert!((0.0..1.0).contains(&beta1), "beta1 must be in [0, 1)");
-        assert!((0.0..1.0).contains(&beta2), "beta2 must be in [0, 1)");
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
-    }
 }
 
 impl Optimizer for Adam {

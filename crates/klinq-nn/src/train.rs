@@ -83,29 +83,6 @@ impl Dataset {
         })
     }
 
-    /// Builds from an existing matrix and labels.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DatasetError`] on count mismatch or non-binary labels.
-    pub fn from_matrix(x: Matrix, y: Vec<f32>) -> Result<Self, DatasetError> {
-        if x.rows() == 0 {
-            return Err(DatasetError::Empty);
-        }
-        if x.rows() != y.len() {
-            return Err(DatasetError::LabelCountMismatch {
-                features: x.rows(),
-                labels: y.len(),
-            });
-        }
-        for (i, &v) in y.iter().enumerate() {
-            if !(v == 0.0 || v == 1.0) {
-                return Err(DatasetError::InvalidLabel(i));
-            }
-        }
-        Ok(Self { x, y })
-    }
-
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.y.len()

@@ -13,12 +13,11 @@
 //! `KLINQ_CHAOS_SEED` environment variable. Every fault is
 //! **correctness-transparent**: short reads and writes are legal
 //! outcomes of non-blocking I/O, a skipped readiness event is re-fired
-//! by level-triggered readiness (or the next poll-loop sweep), and a
-//! deferred completion drain re-wakes itself — so the entire test suite
-//! must pass unchanged with chaos enabled. What injection buys is
-//! *coverage*: frame reassembly across arbitrary split points, partial
-//! flushes under `EPOLLOUT` re-arming, and completion delivery racing
-//! connection close.
+//! by level-triggered readiness, and a deferred completion drain
+//! re-wakes itself — so the entire test suite must pass unchanged with
+//! chaos enabled. What injection buys is *coverage*: frame reassembly
+//! across arbitrary split points, partial flushes under `EPOLLOUT`
+//! re-arming, and completion delivery racing connection close.
 //!
 //! [`Chaos`] is public so tests can drive *peer-side* faults from the
 //! same deterministic stream: byte-dribbling writers, mid-frame
@@ -80,8 +79,8 @@ impl Chaos {
     }
 
     /// Skip this readable event entirely (a stalled read). Safe because
-    /// readiness is level-triggered (and the poll loop sweeps): the
-    /// bytes are still reported next iteration.
+    /// readiness is level-triggered: the bytes are still reported next
+    /// iteration.
     pub(crate) fn stall_read(&mut self) -> bool {
         self.chance(10)
     }

@@ -59,9 +59,8 @@
 //! - **A wire protocol** ([`wire`]): a length-prefixed binary codec over
 //!   plain TCP ([`WireServer`]/[`WireClient`], std threads only) so
 //!   out-of-process clients reach the very same coalescing path,
-//!   bitwise-identically to in-process calls. The server side is a
-//!   readiness-driven reactor (epoll on Linux, a portable poll-loop
-//!   fallback elsewhere — [`Transport`]): one event-loop thread
+//!   bitwise-identically to in-process calls. The server side is an
+//!   epoll reactor, compiled on Linux only: one event-loop thread
 //!   multiplexes thousands of connections under a configurable budget
 //!   ([`WireConfig`]), and the protocol's per-frame request ids let each
 //!   connection **pipeline** many requests with out-of-order completion.
@@ -102,9 +101,9 @@ pub use metrics::ServeStats;
 pub use server::{Priority, ReadoutClient, ReadoutServer, ServeConfig, ServeError, NUM_QUBITS};
 pub use shard::ShardedReadoutServer;
 pub use supervise::{ShardHealth, ShardHealthReport, SuperviseConfig};
-pub use wire::{
-    ReconnectPolicy, Transport, WireClient, WireConfig, WireError, WireMessage, WireServer,
-};
+pub use wire::{ReconnectPolicy, WireClient, WireError, WireMessage};
+#[cfg(target_os = "linux")]
+pub use wire::{WireConfig, WireServer};
 
 // Re-exported so downstream code can name the request/response types
 // without depending on klinq-core / klinq-sim directly.

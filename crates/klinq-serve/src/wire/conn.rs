@@ -63,7 +63,7 @@ pub(crate) struct Conn {
     pub(crate) dead: bool,
     /// The `(readable, writable)` interest currently installed in the
     /// epoll set, `None` when the fd is not registered. Owned by the
-    /// reactor's interest-sync step; unused by the poll-loop transport.
+    /// reactor's interest-sync step.
     pub(crate) reg: Option<(bool, bool)>,
     /// Per-connection fault injection (see [`crate::chaos`]): stalls and
     /// shrinks this connection's reads and writes. `None` in production.

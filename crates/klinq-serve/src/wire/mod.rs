@@ -13,9 +13,10 @@
 //!   bounds-checked decoding, incremental [`FrameAssembler`] reassembly.
 //! - `conn` (private): per-connection non-blocking buffers and
 //!   lifecycle state.
-//! - [`reactor`]: the readiness-driven event loop serving thousands of
-//!   connections from one thread ([`WireServer`], [`WireConfig`],
-//!   [`Transport`]).
+//! - [`reactor`]: the epoll event loop serving thousands of connections
+//!   from one thread ([`WireServer`], [`WireConfig`]). Linux only: the
+//!   server is not compiled elsewhere, while the client and the codec
+//!   are plain std.
 //! - this module: the [`WireClient`], with one blocking call
 //!   ([`WireClient::classify_shots_opts`]) and a pipelined
 //!   submit/receive pair.
@@ -58,14 +59,17 @@
 //! losing it, so nothing auto-retries against it.
 
 pub mod codec;
+#[cfg(target_os = "linux")]
 mod conn;
+#[cfg(target_os = "linux")]
 pub mod reactor;
 
 pub use codec::{
     decode_message, encode_error, encode_response, FrameAssembler, WireError, WireMessage,
     CONNECTION_REQ_ID, MAX_REQUEST_SHOTS,
 };
-pub use reactor::{Transport, WireConfig, WireServer};
+#[cfg(target_os = "linux")]
+pub use reactor::{WireConfig, WireServer};
 
 use crate::sched::RequestOptions;
 use crate::server::ServeError;
@@ -657,13 +661,17 @@ impl WireClient {
         let want = self.submit_opts(opts, shots)?;
         let mut resubmits = 0u32;
         loop {
-            let (req_id, result) = self.recv_response()?;
-            if req_id != want {
-                // A completion for an *earlier* pipelined submit: keep
-                // it for the recv_response call that wants it.
-                self.ready.push_back((req_id, result));
-                continue;
-            }
+            // Completions for *earlier* pipelined submits stay queued,
+            // in order, for the recv_response calls that want them.
+            let at = self.ready.iter().position(|(id, _)| *id == want);
+            let Some((_, result)) = at.and_then(|at| self.ready.remove(at)) else {
+                match self.pump_one() {
+                    // A dead connection queued every in-flight request,
+                    // this one included, as a `Disconnected` result.
+                    Ok(()) | Err(ServeError::Disconnected) => continue,
+                    Err(e) => return Err(e),
+                }
+            };
             match result {
                 // The connection died with this request in flight.
                 // Classification is pure, so resubmitting is

@@ -3,19 +3,12 @@
 //! PR 5's wire front end parked one std thread per TCP connection with
 //! one blocking request in flight each — fine for a 4-client bench,
 //! fatal for thousands of connections. This module replaces it with a
-//! single event-loop thread multiplexing every connection:
-//!
-//! - **Epoll transport** (Linux): the loop parks in `epoll_wait` (via
-//!   the thin syscall shim in `vendor/epoll`) and only touches sockets
-//!   the kernel reports ready. An `eventfd` waker lets fleet collector
-//!   threads push completed results into the loop from outside.
-//! - **Poll-loop transport** (portable fallback): the same connection
-//!   state machine driven by attempting non-blocking I/O on every
-//!   connection in a bounded-sleep sweep. Slower under thousands of
-//!   idle connections, but it builds and tests anywhere
-//!   `set_nonblocking` exists. Selected automatically where epoll is
-//!   unsupported, or explicitly via [`WireConfig::transport`] /
-//!   `KLINQ_WIRE_TRANSPORT=fallback`.
+//! single event-loop thread multiplexing every connection. The loop
+//! parks in `epoll_wait` (via the thin syscall shim in `vendor/epoll`)
+//! and only touches sockets the kernel reports ready; an `eventfd`
+//! waker lets fleet collector threads push completed results into the
+//! loop from outside. The module is therefore Linux-only: the crate
+//! compiles it, and with it [`WireServer`], on Linux alone.
 //!
 //! Requests decoded from a connection are submitted through the
 //! in-process [`ReadoutClient::submit_opts`] path with a
@@ -48,13 +41,11 @@ use klinq_core::ShotStates;
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-#[cfg(target_os = "linux")]
-use std::os::fd::AsRawFd;
 
 /// Readiness token of the accept socket.
 const LISTENER_TOKEN: u64 = 0;
@@ -65,68 +56,12 @@ const WAKER_TOKEN: u64 = 1;
 /// *different* connection that recycled its slot.
 const FIRST_CONN_TOKEN: u64 = 2;
 
-/// How long the poll-loop transport sleeps when a sweep made no
-/// progress. Bounds idle CPU burn without adding meaningful latency
-/// (the linger windows it feeds are of the same order).
-const POLL_IDLE_SLEEP: Duration = Duration::from_micros(300);
-
 /// How long a draining reactor keeps reading peers. During the grace
 /// window, new connections and new requests get typed
 /// [`ServeError::Draining`] answers; after it, connections stop being
 /// read (in-flight replies still deliver) so a stalled or chatty peer
 /// cannot hold shutdown open forever.
 const DRAIN_GRACE: Duration = Duration::from_millis(500);
-
-/// Which readiness mechanism drives the reactor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Transport {
-    /// Pick per platform — epoll where supported, the poll-loop
-    /// fallback elsewhere — unless the `KLINQ_WIRE_TRANSPORT`
-    /// environment variable (`"epoll"` or `"fallback"`) overrides.
-    #[default]
-    Auto,
-    /// The epoll event loop (Linux only; [`WireServer::start_with`]
-    /// fails with [`io::ErrorKind::Unsupported`] elsewhere).
-    Epoll,
-    /// The portable non-blocking sweep. Works everywhere; CI runs the
-    /// wire tests under it too so both paths stay green.
-    PollLoop,
-}
-
-impl Transport {
-    /// Resolves `Auto` against platform support and the
-    /// `KLINQ_WIRE_TRANSPORT` override.
-    fn resolve(self) -> io::Result<Transport> {
-        match self {
-            Transport::Epoll => {
-                if epoll::SUPPORTED {
-                    Ok(Transport::Epoll)
-                } else {
-                    Err(io::Error::new(
-                        io::ErrorKind::Unsupported,
-                        "epoll transport requested on a platform without epoll",
-                    ))
-                }
-            }
-            Transport::PollLoop => Ok(Transport::PollLoop),
-            Transport::Auto => match std::env::var("KLINQ_WIRE_TRANSPORT") {
-                Ok(v) if v == "epoll" => Transport::Epoll.resolve(),
-                Ok(v) if v == "fallback" || v == "poll" || v == "poll-loop" => {
-                    Ok(Transport::PollLoop)
-                }
-                Ok(v) => Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("unknown KLINQ_WIRE_TRANSPORT value {v:?} (expected \"epoll\" or \"fallback\")"),
-                )),
-                Err(_) => Ok(if epoll::SUPPORTED {
-                    Transport::Epoll
-                } else {
-                    Transport::PollLoop
-                }),
-            },
-        }
-    }
-}
 
 /// Tuning knobs for a [`WireServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,8 +75,6 @@ pub struct WireConfig {
     /// them forever). Protects the budget from peers that connect and
     /// walk away.
     pub idle_timeout: Option<Duration>,
-    /// Which readiness mechanism drives the loop.
-    pub transport: Transport,
     /// Deterministic fault injection (see [`crate::chaos`]): stalls and
     /// shrinks this server's socket reads/writes and defers completion
     /// wakeups, all correctness-transparently. `None` (production)
@@ -152,13 +85,12 @@ pub struct WireConfig {
 }
 
 impl Default for WireConfig {
-    /// 4096-connection budget, 60 s idle reaping, auto transport, chaos
-    /// off (unless `KLINQ_CHAOS_SEED` is set).
+    /// 4096-connection budget, 60 s idle reaping, chaos off (unless
+    /// `KLINQ_CHAOS_SEED` is set).
     fn default() -> Self {
         Self {
             max_connections: 4096,
             idle_timeout: Some(Duration::from_secs(60)),
-            transport: Transport::Auto,
             chaos_seed: None,
         }
     }
@@ -173,16 +105,14 @@ struct Completion {
 
 /// The cross-thread completion queue: fleet collector threads push via
 /// the submission callback, the reactor drains in its loop. The waker
-/// (epoll transport only) interrupts `epoll_wait` so a completion is
-/// picked up immediately rather than at the next timeout.
+/// interrupts `epoll_wait` so a completion is picked up immediately
+/// rather than at the next timeout.
 pub(crate) struct Completions {
     queue: Mutex<Vec<Completion>>,
-    #[cfg(target_os = "linux")]
-    waker: Option<epoll::EventFd>,
+    waker: epoll::EventFd,
     /// Whether a wake is already pending at the reactor: collector
     /// threads completing a burst of requests then pay one eventfd
     /// syscall for the burst, not one per completion.
-    #[cfg(target_os = "linux")]
     notified: AtomicBool,
 }
 
@@ -208,16 +138,11 @@ impl Completions {
         self.wake();
     }
 
-    /// Interrupts a parked `epoll_wait` (no-op for the poll-loop
-    /// transport, whose bounded sleep re-checks on its own). Coalesced:
-    /// only the first wake since the reactor last drained pays the
-    /// eventfd syscall.
+    /// Interrupts a parked `epoll_wait`. Coalesced: only the first wake
+    /// since the reactor last drained pays the eventfd syscall.
     pub(crate) fn wake(&self) {
-        #[cfg(target_os = "linux")]
-        if let Some(waker) = &self.waker {
-            if !self.notified.swap(true, Ordering::AcqRel) {
-                waker.notify();
-            }
+        if !self.notified.swap(true, Ordering::AcqRel) {
+            self.waker.notify();
         }
     }
 
@@ -225,7 +150,6 @@ impl Completions {
         std::mem::take(&mut *self.queue())
     }
 
-    #[cfg(target_os = "linux")]
     fn drain_waker(&self) {
         // Read the eventfd first, re-arm after, so that whenever
         // `notified` is true either an eventfd signal is pending or the
@@ -235,18 +159,9 @@ impl Completions {
         // Re-arming before the read would let the read consume a racing
         // push's signal and strand the flag at true, silencing every
         // later push's notify.
-        if let Some(waker) = &self.waker {
-            waker.drain();
-        }
+        self.waker.drain();
         self.notified.store(false, Ordering::Release);
     }
-}
-
-/// The readiness mechanism a running reactor holds.
-enum Driver {
-    #[cfg(target_os = "linux")]
-    Epoll(epoll::Epoll),
-    PollLoop,
 }
 
 /// The event-loop state, owned by the reactor thread.
@@ -255,7 +170,10 @@ struct Reactor {
     clients: Vec<ReadoutClient>,
     conns: HashMap<u64, Conn>,
     next_token: u64,
-    driver: Driver,
+    /// The readiness set: the listener while there is budget to
+    /// accept, the waker, and every connection with something to wait
+    /// for.
+    ep: epoll::Epoll,
     completions: Arc<Completions>,
     counters: Arc<ServeAtomics>,
     stop: Arc<AtomicBool>,
@@ -279,15 +197,6 @@ struct Reactor {
 
 impl Reactor {
     fn run(mut self) {
-        match self.driver {
-            #[cfg(target_os = "linux")]
-            Driver::Epoll(_) => self.run_epoll(),
-            Driver::PollLoop => self.run_poll(),
-        }
-    }
-
-    #[cfg(target_os = "linux")]
-    fn run_epoll(&mut self) {
         let mut events: Vec<epoll::Event> = Vec::new();
         let mut dirty: Vec<u64> = Vec::new();
         loop {
@@ -308,18 +217,12 @@ impl Reactor {
             } else {
                 self.idle_timeout.map(reap_interval)
             };
-            {
-                let Driver::Epoll(ep) = &self.driver else {
-                    // klinq-lint: allow(no-panic-serve) run_epoll is only entered after resolve() selected the epoll driver
-                    unreachable!("run_epoll requires the epoll driver")
-                };
-                if ep.wait(&mut events, timeout).is_err() {
-                    // epoll_wait failing (beyond EINTR, retried in the
-                    // shim) is not actionable; back off instead of
-                    // spinning on the error.
-                    std::thread::sleep(Duration::from_millis(1));
-                    continue;
-                }
+            if self.ep.wait(&mut events, timeout).is_err() {
+                // epoll_wait failing (beyond EINTR, retried in the
+                // shim) is not actionable; back off instead of
+                // spinning on the error.
+                std::thread::sleep(Duration::from_millis(1));
+                continue;
             }
             let now = Instant::now();
             dirty.clear();
@@ -352,42 +255,6 @@ impl Reactor {
             }
             self.reap_idle(now);
             self.sync_listener_interest();
-        }
-    }
-
-    fn run_poll(&mut self) {
-        let mut tokens: Vec<u64> = Vec::new();
-        loop {
-            if self.stop.load(Ordering::Acquire) && !self.draining {
-                self.enter_shutdown(Instant::now());
-            }
-            if self.draining {
-                if self.conns.is_empty() {
-                    break;
-                }
-                self.drain_tick(Instant::now());
-            }
-            let now = Instant::now();
-            let mut progress = false;
-            progress |= !self.process_completions(now).is_empty();
-            progress |= self.accept_ready(now);
-            // Sweep every connection: attempt a read (frames get
-            // processed inside), then a flush if bytes are pending.
-            tokens.clear();
-            tokens.extend(self.conns.keys().copied());
-            for &token in &tokens {
-                progress |= self.conn_readable(token, now);
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    if conn.wants_write() {
-                        conn.flush(now);
-                    }
-                }
-                self.settle_conn(token);
-            }
-            self.reap_idle(now);
-            if !progress {
-                std::thread::sleep(POLL_IDLE_SLEEP);
-            }
         }
     }
 
@@ -439,12 +306,11 @@ impl Reactor {
         }
     }
 
-    /// Accepts as many queued peers as the budget allows. Returns
-    /// whether any connection was accepted. A draining server still
-    /// accepts (within budget) so it can answer each late connector
-    /// with a typed [`ServeError::Draining`] frame and hang up.
-    fn accept_ready(&mut self, now: Instant) -> bool {
-        let mut any = false;
+    /// Accepts as many queued peers as the budget allows. A draining
+    /// server still accepts (within budget) so it can answer each late
+    /// connector with a typed [`ServeError::Draining`] frame and hang
+    /// up.
+    fn accept_ready(&mut self, now: Instant) {
         loop {
             if self.conns.len() >= self.max_connections {
                 break;
@@ -482,7 +348,6 @@ impl Reactor {
                     self.counters
                         .wire_peak_open
                         .fetch_max(open, Ordering::Relaxed);
-                    any = true;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -495,38 +360,35 @@ impl Reactor {
                 }
             }
         }
-        any
     }
 
-    /// Installs a fresh connection's initial read interest (epoll).
+    /// Installs a fresh connection's initial read interest.
     fn register_conn(&mut self, token: u64) {
-        #[cfg(target_os = "linux")]
-        if let Driver::Epoll(ep) = &self.driver {
-            if let Some(conn) = self.conns.get_mut(&token) {
-                if ep.add(conn.stream().as_raw_fd(), token, true, false).is_ok() {
-                    conn.reg = Some((true, false));
-                } else {
-                    conn.dead = true;
-                }
+        if let Some(conn) = self.conns.get_mut(&token) {
+            if self
+                .ep
+                .add(conn.stream().as_raw_fd(), token, true, false)
+                .is_ok()
+            {
+                conn.reg = Some((true, false));
+            } else {
+                conn.dead = true;
             }
         }
-        #[cfg(not(target_os = "linux"))]
-        let _ = token;
     }
 
     /// Reads from a connection and processes every complete frame the
-    /// bytes yield. Returns whether any frame was processed.
-    fn conn_readable(&mut self, token: u64, now: Instant) -> bool {
+    /// bytes yield.
+    fn conn_readable(&mut self, token: u64, now: Instant) {
         {
             let Some(conn) = self.conns.get_mut(&token) else {
-                return false;
+                return;
             };
             match conn.read_ready(now) {
                 ReadOutcome::Progress | ReadOutcome::Eof => {}
-                ReadOutcome::Err => return false,
+                ReadOutcome::Err => return,
             }
         }
-        let mut any = false;
         loop {
             // Decode inside the connection borrow: the frame payload is
             // a borrow of the reassembly buffer (bulk requests are never
@@ -534,24 +396,21 @@ impl Reactor {
             // message the dispatch below needs.
             let decoded = {
                 let Some(conn) = self.conns.get_mut(&token) else {
-                    return any;
+                    return;
                 };
                 match conn.next_frame() {
                     Ok(Some(payload)) => Ok(decode_message(payload)),
-                    Ok(None) => return any,
+                    Ok(None) => return,
                     Err(e) => Err(e),
                 }
             };
             match decoded {
-                Ok(message) => {
-                    any = true;
-                    self.handle_message(token, message, now);
-                }
+                Ok(message) => self.handle_message(token, message, now),
                 Err(e) => {
                     // Oversized length prefix: the stream is poisoned.
                     // Say why, then hang up.
                     self.conn_protocol_error(token, e.to_string(), now);
-                    return any;
+                    return;
                 }
             }
         }
@@ -752,33 +611,29 @@ impl Reactor {
     /// the loop forever — and a connection waiting only on fleet
     /// completions leaves the set entirely (the waker covers it).
     fn sync_interest(&mut self, token: u64) {
-        #[cfg(target_os = "linux")]
-        if let Driver::Epoll(ep) = &self.driver {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            let desired = (
-                !conn.peer_eof && !conn.closing && !conn.dead,
-                conn.wants_write() && !conn.dead,
-            );
-            let fd = conn.stream().as_raw_fd();
-            match (conn.reg, desired) {
-                (None, (false, false)) => {}
-                (None, (r, w)) if ep.add(fd, token, r, w).is_ok() => {
-                    conn.reg = Some(desired);
-                }
-                (Some(_), (false, false)) => {
-                    let _ = ep.delete(fd);
-                    conn.reg = None;
-                }
-                (Some(current), (r, w)) if current != desired && ep.modify(fd, token, r, w).is_ok() => {
-                    conn.reg = Some(desired);
-                }
-                _ => {}
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        let desired = (
+            !conn.peer_eof && !conn.closing && !conn.dead,
+            conn.wants_write() && !conn.dead,
+        );
+        let fd = conn.stream().as_raw_fd();
+        let ep = &self.ep;
+        match (conn.reg, desired) {
+            (None, (false, false)) => {}
+            (None, (r, w)) if ep.add(fd, token, r, w).is_ok() => {
+                conn.reg = Some(desired);
             }
+            (Some(_), (false, false)) => {
+                let _ = ep.delete(fd);
+                conn.reg = None;
+            }
+            (Some(current), (r, w)) if current != desired && ep.modify(fd, token, r, w).is_ok() => {
+                conn.reg = Some(desired);
+            }
+            _ => {}
         }
-        #[cfg(not(target_os = "linux"))]
-        let _ = token;
     }
 
     /// Removes a connection (dropping the stream closes its fd, which
@@ -813,26 +668,23 @@ impl Reactor {
     }
 
     /// Accept backpressure: the listener sits in the epoll set exactly
-    /// when there is budget to accept. (The poll-loop transport gets
-    /// the same policy for free — `accept_ready` checks the budget.)
+    /// when there is budget to accept.
     fn sync_listener_interest(&mut self) {
-        #[cfg(target_os = "linux")]
-        if let Driver::Epoll(ep) = &self.driver {
-            let Some(listener) = &self.listener else {
-                return;
-            };
-            let want = self.conns.len() < self.max_connections;
-            if want && !self.listener_registered {
-                if ep
-                    .add(listener.as_raw_fd(), LISTENER_TOKEN, true, false)
-                    .is_ok()
-                {
-                    self.listener_registered = true;
-                }
-            } else if !want && self.listener_registered {
-                let _ = ep.delete(listener.as_raw_fd());
-                self.listener_registered = false;
+        let Some(listener) = &self.listener else {
+            return;
+        };
+        let want = self.conns.len() < self.max_connections;
+        if want && !self.listener_registered {
+            if self
+                .ep
+                .add(listener.as_raw_fd(), LISTENER_TOKEN, true, false)
+                .is_ok()
+            {
+                self.listener_registered = true;
             }
+        } else if !want && self.listener_registered {
+            let _ = self.ep.delete(listener.as_raw_fd());
+            self.listener_registered = false;
         }
     }
 }
@@ -876,11 +728,7 @@ impl WireServer {
     ///
     /// # Errors
     ///
-    /// Fails with [`io::ErrorKind::Unsupported`] when
-    /// [`Transport::Epoll`] is requested on a platform without epoll,
-    /// [`io::ErrorKind::InvalidInput`] for an unrecognized
-    /// `KLINQ_WIRE_TRANSPORT` value, and otherwise propagates
-    /// listener/epoll/thread setup failures.
+    /// Propagates listener/epoll/thread setup failures.
     ///
     /// # Panics
     ///
@@ -898,39 +746,15 @@ impl WireServer {
         let clients: Vec<ReadoutClient> = (0..fleet.devices()).map(|d| fleet.client(d)).collect();
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let transport = config.transport.resolve()?;
-        let (driver, completions, listener_registered) = match transport {
-            #[cfg(target_os = "linux")]
-            Transport::Epoll => {
-                let ep = epoll::Epoll::new()?;
-                let waker = epoll::EventFd::new()?;
-                ep.add(listener.as_raw_fd(), LISTENER_TOKEN, true, false)?;
-                ep.add(waker.as_raw_fd(), WAKER_TOKEN, true, false)?;
-                (
-                    Driver::Epoll(ep),
-                    Arc::new(Completions {
-                        queue: Mutex::new(Vec::new()),
-                        waker: Some(waker),
-                        notified: AtomicBool::new(false),
-                    }),
-                    true,
-                )
-            }
-            #[cfg(not(target_os = "linux"))]
-            // klinq-lint: allow(no-panic-serve) resolve() rejects epoll off-Linux before construction reaches this arm
-            Transport::Epoll => unreachable!("resolve() rejects epoll off-Linux"),
-            _ => (
-                Driver::PollLoop,
-                Arc::new(Completions {
-                    queue: Mutex::new(Vec::new()),
-                    #[cfg(target_os = "linux")]
-                    waker: None,
-                    #[cfg(target_os = "linux")]
-                    notified: AtomicBool::new(false),
-                }),
-                false,
-            ),
-        };
+        let ep = epoll::Epoll::new()?;
+        let waker = epoll::EventFd::new()?;
+        ep.add(listener.as_raw_fd(), LISTENER_TOKEN, true, false)?;
+        ep.add(waker.as_raw_fd(), WAKER_TOKEN, true, false)?;
+        let completions = Arc::new(Completions {
+            queue: Mutex::new(Vec::new()),
+            waker,
+            notified: AtomicBool::new(false),
+        });
         let stop = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(ServeAtomics::default());
         let chaos_seed = config.chaos_seed.or_else(chaos::env_seed);
@@ -939,13 +763,13 @@ impl WireServer {
             clients,
             conns: HashMap::new(),
             next_token: FIRST_CONN_TOKEN,
-            driver,
+            ep,
             completions: Arc::clone(&completions),
             counters: Arc::clone(&counters),
             stop: Arc::clone(&stop),
             max_connections: config.max_connections,
             idle_timeout: config.idle_timeout,
-            listener_registered,
+            listener_registered: true,
             last_reap: Instant::now(),
             draining: false,
             drain_deadline: None,

@@ -9,8 +9,8 @@ use klinq_core::testkit;
 use klinq_core::{Backend, BatchDiscriminator, KlinqSystem, ShotStates};
 use klinq_serve::chaos::Chaos;
 use klinq_serve::{
-    wire, Priority, RequestOptions, ServeConfig, ServeError, ShardedReadoutServer, Transport,
-    WireClient, WireConfig, WireServer,
+    wire, Priority, RequestOptions, ServeConfig, ServeError, ShardedReadoutServer, WireClient,
+    WireConfig, WireServer,
 };
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -55,10 +55,14 @@ fn direct(sys: &KlinqSystem, shots: &[klinq_sim::Shot]) -> Vec<ShotStates> {
     BatchDiscriminator::new(sys.discriminators()).classify_shots_on(Backend::Float, shots)
 }
 
-/// Both readiness mechanisms, so every scenario exercises the epoll
-/// loop *and* the portable poll-loop fallback in one run.
-fn transports() -> Vec<Transport> {
-    vec![Transport::PollLoop, Transport::Auto]
+/// Reaping off: the reactor parks with no timeout, so a lost
+/// completion wakeup fails the test instead of hiding behind a reap
+/// tick.
+fn no_reap() -> WireConfig {
+    WireConfig {
+        idle_timeout: None,
+        ..WireConfig::default()
+    }
 }
 
 /// The soak: a two-device fleet served through a chaos-injected reactor
@@ -68,7 +72,9 @@ fn transports() -> Vec<Transport> {
 /// Every response must arrive (none lost), arrive once (none
 /// duplicated), and be bitwise-identical to exactly one model version's
 /// direct output (never a mix) — chaos is correctness-transparent.
-fn soak_on(transport: Transport, seed: u64) {
+#[test]
+fn chaos_soak_with_hot_swaps_loses_nothing_epoll_or_auto() {
+    const SEED: u64 = 0xDAC_2025;
     const WORKERS: usize = 3;
     const ROUNDS: usize = 6;
     const WINDOW: usize = 4; // pipelined requests in flight per round
@@ -88,9 +94,8 @@ fn soak_on(transport: Transport, seed: u64) {
         &fleet,
         TcpListener::bind("127.0.0.1:0").unwrap(),
         WireConfig {
-            transport,
-            chaos_seed: Some(seed),
-            ..WireConfig::default()
+            chaos_seed: Some(SEED),
+            ..no_reap()
         },
     )
     .expect("start chaos-injected wire server");
@@ -104,7 +109,7 @@ fn soak_on(transport: Transport, seed: u64) {
         let stop = Arc::clone(&stop);
         let shot = all_shots[0].clone();
         std::thread::spawn(move || {
-            let mut chaos = Chaos::new(seed ^ 0xF1AC);
+            let mut chaos = Chaos::new(SEED ^ 0xF1AC);
             let mut kind = 0u64;
             while !stop.load(Ordering::Acquire) {
                 let Ok(mut raw) = TcpStream::connect(addr) else {
@@ -245,99 +250,81 @@ fn soak_on(transport: Transport, seed: u64) {
 }
 
 #[test]
-fn chaos_soak_with_hot_swaps_loses_nothing_epoll_or_auto() {
-    soak_on(Transport::Auto, 0xDAC_2025);
-}
-
-#[test]
-fn chaos_soak_with_hot_swaps_loses_nothing_poll_loop() {
-    soak_on(Transport::PollLoop, 0x5EED_0007);
-}
-
-#[test]
 fn graceful_drain_answers_in_flight_and_refuses_new_work() {
-    for transport in transports() {
-        let sys = system();
-        let all_shots = sys.test_data().shots().to_vec();
-        let fleet = ShardedReadoutServer::start(
-            vec![system()],
-            ServeConfig {
-                // Long enough that the parked batch is still open when
-                // shutdown begins: the drain — not luck — must deliver
-                // the answers.
-                max_linger: Duration::from_millis(400),
-                max_batch_shots: usize::MAX,
-                ..ServeConfig::default()
-            },
-        );
-        let server = WireServer::start_with(
-            &fleet,
-            TcpListener::bind("127.0.0.1:0").unwrap(),
-            WireConfig {
-                transport,
-                ..WireConfig::default()
-            },
-        )
+    let sys = system();
+    let all_shots = sys.test_data().shots().to_vec();
+    let fleet = ShardedReadoutServer::start(
+        vec![system()],
+        ServeConfig {
+            // Long enough that the parked batch is still open when
+            // shutdown begins: the drain — not luck — must deliver
+            // the answers.
+            max_linger: Duration::from_millis(400),
+            max_batch_shots: usize::MAX,
+            ..ServeConfig::default()
+        },
+    );
+    let server =
+        WireServer::start_with(&fleet, TcpListener::bind("127.0.0.1:0").unwrap(), no_reap())
+            .unwrap();
+    let addr = server.local_addr();
+    let mut client = WireClient::connect(addr, 0).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
-        let addr = server.local_addr();
-        let mut client = WireClient::connect(addr, 0).unwrap();
-        client
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
-        // Park a pipeline of requests on the lingering batch…
-        let slices = [0..3usize, 3..5, 5..9];
-        let mut expected: HashMap<u64, Vec<ShotStates>> = HashMap::new();
-        for r in &slices {
-            let slice = &all_shots[r.clone()];
-            let id = client.submit_opts(RequestOptions::new(), slice).unwrap();
-            expected.insert(id, direct(&sys, slice));
-        }
-        // …then shut down mid-pipeline. `shutdown` waits briefly for
-        // the reactor, which is busy draining — run it on the side so
-        // the drain-window assertions below happen *during* the drain.
-        let shutdown = std::thread::spawn(move || server.shutdown());
-        std::thread::sleep(Duration::from_millis(50));
-
-        // New work on the existing connection is refused typed, per
-        // request — the connection itself stays up for its answers.
-        let late_id = client.submit_opts(RequestOptions::new(), &all_shots[9..10]).unwrap();
-        // A new connection is answered with a connection-level Draining
-        // frame, surfacing as the outer error.
-        let mut late_conn = WireClient::connect(addr, 0).expect("drain still accepts to refuse");
-        late_conn.set_reconnect(None);
-        late_conn
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        late_conn.submit_opts(RequestOptions::new(), &all_shots[0..1]).unwrap();
-        match late_conn.recv_response() {
-            Err(ServeError::Draining) => {}
-            other => panic!("{transport:?}: expected Draining for a late connection, got {other:?}"),
-        }
-
-        // The parked pipeline drains completely: every response arrives,
-        // bitwise-identical, and the late request got its typed refusal.
-        let mut late_result = None;
-        for _ in 0..slices.len() + 1 {
-            let (id, result) = client.recv_response().expect("drain delivers, never drops");
-            if id == late_id {
-                late_result = Some(result);
-                continue;
-            }
-            let want = expected.remove(&id).expect("each id answered exactly once");
-            assert_eq!(
-                result.expect("in-flight request answered during drain"),
-                want,
-                "{transport:?}: drained response corrupted"
-            );
-        }
-        assert!(expected.is_empty(), "{transport:?}: shutdown lost responses");
-        match late_result {
-            Some(Err(ServeError::Draining)) => {}
-            other => panic!("{transport:?}: expected Draining for late work, got {other:?}"),
-        }
-        shutdown.join().expect("shutdown thread");
-        fleet.shutdown();
+    // Park a pipeline of requests on the lingering batch…
+    let slices = [0..3usize, 3..5, 5..9];
+    let mut expected: HashMap<u64, Vec<ShotStates>> = HashMap::new();
+    for r in &slices {
+        let slice = &all_shots[r.clone()];
+        let id = client.submit_opts(RequestOptions::new(), slice).unwrap();
+        expected.insert(id, direct(&sys, slice));
     }
+    // …then shut down mid-pipeline. `shutdown` waits briefly for
+    // the reactor, which is busy draining — run it on the side so
+    // the drain-window assertions below happen *during* the drain.
+    let shutdown = std::thread::spawn(move || server.shutdown());
+    std::thread::sleep(Duration::from_millis(50));
+
+    // New work on the existing connection is refused typed, per
+    // request — the connection itself stays up for its answers.
+    let late_id = client.submit_opts(RequestOptions::new(), &all_shots[9..10]).unwrap();
+    // A new connection is answered with a connection-level Draining
+    // frame, surfacing as the outer error.
+    let mut late_conn = WireClient::connect(addr, 0).expect("drain still accepts to refuse");
+    late_conn.set_reconnect(None);
+    late_conn
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    late_conn.submit_opts(RequestOptions::new(), &all_shots[0..1]).unwrap();
+    match late_conn.recv_response() {
+        Err(ServeError::Draining) => {}
+        other => panic!("expected Draining for a late connection, got {other:?}"),
+    }
+
+    // The parked pipeline drains completely: every response arrives,
+    // bitwise-identical, and the late request got its typed refusal.
+    let mut late_result = None;
+    for _ in 0..slices.len() + 1 {
+        let (id, result) = client.recv_response().expect("drain delivers, never drops");
+        if id == late_id {
+            late_result = Some(result);
+            continue;
+        }
+        let want = expected.remove(&id).expect("each id answered exactly once");
+        assert_eq!(
+            result.expect("in-flight request answered during drain"),
+            want,
+            "drained response corrupted"
+        );
+    }
+    assert!(expected.is_empty(), "shutdown lost responses");
+    match late_result {
+        Some(Err(ServeError::Draining)) => {}
+        other => panic!("expected Draining for late work, got {other:?}"),
+    }
+    shutdown.join().expect("shutdown thread");
+    fleet.shutdown();
 }
 
 #[test]
@@ -374,9 +361,10 @@ fn a_lost_connection_surfaces_disconnected_then_reconnects_with_backoff() {
     let fleet = ShardedReadoutServer::start(vec![system()], ServeConfig::default());
     let rescue = std::thread::spawn(move || {
         std::thread::sleep(Duration::from_millis(150));
-        WireServer::start(
+        WireServer::start_with(
             &fleet,
             TcpListener::bind(addr).expect("rebind the vacated port"),
+            no_reap(),
         )
         .map(|server| (server, fleet))
         .expect("rescue server starts")
@@ -397,51 +385,42 @@ fn a_completion_racing_connection_close_is_dropped_not_delivered() {
     // against a closed token; the reactor must drop it on the floor and
     // keep serving — not deliver to a recycled slot (tokens are never
     // reused) and not die.
-    for transport in transports() {
-        let sys = system();
-        let shot = sys.test_data().shot(2).clone();
-        let want =
-            BatchDiscriminator::new(sys.discriminators()).classify_shot_on(Backend::Float, &shot);
-        let fleet = ShardedReadoutServer::start(
-            vec![system()],
-            ServeConfig {
-                max_linger: Duration::from_millis(250),
-                max_batch_shots: usize::MAX,
-                ..ServeConfig::default()
-            },
-        );
-        let server = WireServer::start_with(
-            &fleet,
-            TcpListener::bind("127.0.0.1:0").unwrap(),
-            WireConfig {
-                transport,
-                ..WireConfig::default()
-            },
-        )
-        .unwrap();
-        let mut doomed = WireClient::connect(server.local_addr(), 0).unwrap();
-        doomed.submit_opts(RequestOptions::new(), std::slice::from_ref(&shot)).unwrap();
-        // Hang up while the request sits in the fleet's open batch.
-        drop(doomed);
-        std::thread::sleep(Duration::from_millis(500));
-        // The completion has fired into a closed connection by now; the
-        // reactor is still healthy if a fresh client gets served.
-        let mut fresh = WireClient::connect(server.local_addr(), 0).unwrap();
-        fresh
-            .set_read_timeout(Some(Duration::from_secs(30)))
+    let sys = system();
+    let shot = sys.test_data().shot(2).clone();
+    let want =
+        BatchDiscriminator::new(sys.discriminators()).classify_shot_on(Backend::Float, &shot);
+    let fleet = ShardedReadoutServer::start(
+        vec![system()],
+        ServeConfig {
+            max_linger: Duration::from_millis(250),
+            max_batch_shots: usize::MAX,
+            ..ServeConfig::default()
+        },
+    );
+    let server =
+        WireServer::start_with(&fleet, TcpListener::bind("127.0.0.1:0").unwrap(), no_reap())
             .unwrap();
-        assert_eq!(
-            fresh
-                .classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&shot))
-                .expect("reactor survived the race")[0],
-            want,
-            "{transport:?}"
-        );
-        let stats = server.stats();
-        assert_eq!(stats.wire_accepted, 2, "{transport:?}");
-        server.shutdown();
-        fleet.shutdown();
-    }
+    let mut doomed = WireClient::connect(server.local_addr(), 0).unwrap();
+    doomed.submit_opts(RequestOptions::new(), std::slice::from_ref(&shot)).unwrap();
+    // Hang up while the request sits in the fleet's open batch.
+    drop(doomed);
+    std::thread::sleep(Duration::from_millis(500));
+    // The completion has fired into a closed connection by now; the
+    // reactor is still healthy if a fresh client gets served.
+    let mut fresh = WireClient::connect(server.local_addr(), 0).unwrap();
+    fresh
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    assert_eq!(
+        fresh
+            .classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&shot))
+            .expect("reactor survived the race")[0],
+        want,
+    );
+    let stats = server.stats();
+    assert_eq!(stats.wire_accepted, 2);
+    server.shutdown();
+    fleet.shutdown();
 }
 
 #[test]
@@ -449,44 +428,41 @@ fn accept_backpressure_reregisters_after_every_freed_slot() {
     // Budget 1: every connection pushes the listener out of the
     // readiness set; every close must bring it back. Three full cycles
     // prove re-registration is a loop invariant, not a one-shot.
-    for transport in transports() {
-        let sys = system();
-        let shot = sys.test_data().shot(1).clone();
-        let want =
-            BatchDiscriminator::new(sys.discriminators()).classify_shot_on(Backend::Float, &shot);
-        let fleet = ShardedReadoutServer::start(vec![system()], ServeConfig::default());
-        let server = WireServer::start_with(
-            &fleet,
-            TcpListener::bind("127.0.0.1:0").unwrap(),
-            WireConfig {
-                max_connections: 1,
-                idle_timeout: None,
-                transport,
-                ..WireConfig::default()
-            },
-        )
-        .unwrap();
-        for cycle in 0..3 {
-            let mut client = WireClient::connect(server.local_addr(), 0).unwrap();
+    let sys = system();
+    let shot = sys.test_data().shot(1).clone();
+    let want =
+        BatchDiscriminator::new(sys.discriminators()).classify_shot_on(Backend::Float, &shot);
+    let fleet = ShardedReadoutServer::start(vec![system()], ServeConfig::default());
+    let server = WireServer::start_with(
+        &fleet,
+        TcpListener::bind("127.0.0.1:0").unwrap(),
+        WireConfig {
+            max_connections: 1,
+            idle_timeout: None,
+            ..WireConfig::default()
+        },
+    )
+    .unwrap();
+    for cycle in 0..3 {
+        let mut client = WireClient::connect(server.local_addr(), 0).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        assert_eq!(
             client
-                .set_read_timeout(Some(Duration::from_secs(30)))
-                .unwrap();
-            assert_eq!(
-                client
-                    .classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&shot))
-                    .expect("served at budget")[0],
-                want,
-                "{transport:?} cycle {cycle}"
-            );
-            drop(client);
-            // Give the reactor a beat to observe the close and re-arm
-            // the listener before the next cycle connects.
-            std::thread::sleep(Duration::from_millis(50));
-        }
-        let stats = server.stats();
-        assert_eq!(stats.wire_accepted, 3, "{transport:?}");
-        assert_eq!(stats.wire_peak_open, 1, "{transport:?}: budget breached");
-        server.shutdown();
-        fleet.shutdown();
+                .classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&shot))
+                .expect("served at budget")[0],
+            want,
+            "cycle {cycle}"
+        );
+        drop(client);
+        // Give the reactor a beat to observe the close and re-arm
+        // the listener before the next cycle connects.
+        std::thread::sleep(Duration::from_millis(50));
     }
+    let stats = server.stats();
+    assert_eq!(stats.wire_accepted, 3);
+    assert_eq!(stats.wire_peak_open, 1, "budget breached");
+    server.shutdown();
+    fleet.shutdown();
 }

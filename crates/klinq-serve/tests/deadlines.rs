@@ -3,16 +3,12 @@
 //! batch never lingers past its oldest queued deadline — on both
 //! backends and over both submission paths (in-process client and the
 //! TCP wire protocol).
-//!
-//! The wire transport (epoll vs the portable poll-loop) is chosen by
-//! `KLINQ_WIRE_TRANSPORT`, exactly as in the rest of the wire suite —
-//! CI runs this binary under both.
 
 use klinq_core::testkit;
 use klinq_core::{Backend, BatchDiscriminator, KlinqSystem, ShotStates};
 use klinq_serve::{
     ReadoutServer, RequestOptions, ServeConfig, ServeError, ShardedReadoutServer, TenantId,
-    TenantSpec, WireClient, WireServer,
+    TenantSpec, WireClient, WireConfig, WireServer,
 };
 use proptest::prelude::*;
 use std::net::TcpListener;
@@ -29,6 +25,16 @@ fn system() -> Arc<KlinqSystem> {
             "CARGO_TARGET_TMPDIR"
         ))))
     }))
+}
+
+/// Reaping off: the reactor parks with no timeout, so a lost
+/// completion wakeup fails the test instead of hiding behind a reap
+/// tick.
+fn no_reap() -> WireConfig {
+    WireConfig {
+        idle_timeout: None,
+        ..WireConfig::default()
+    }
 }
 
 fn direct(sys: &KlinqSystem, backend: Backend, shots: &[klinq_sim::Shot]) -> Vec<ShotStates> {
@@ -157,9 +163,10 @@ proptest! {
                 ..ServeConfig::default()
             },
         );
-        let server = WireServer::start(
+        let server = WireServer::start_with(
             &fleet,
             TcpListener::bind("127.0.0.1:0").expect("bind loopback"),
+            no_reap(),
         )
         .expect("start wire server");
         let mut client = WireClient::connect(server.local_addr(), 0).expect("connect");
@@ -227,9 +234,10 @@ proptest! {
         let t0 = Instant::now();
         let served = if wire {
             let fleet = ShardedReadoutServer::start(vec![Arc::clone(&sys)], config);
-            let server = WireServer::start(
+            let server = WireServer::start_with(
                 &fleet,
                 TcpListener::bind("127.0.0.1:0").expect("bind loopback"),
+                no_reap(),
             )
             .expect("start wire server");
             let mut client = WireClient::connect(server.local_addr(), 0).expect("connect");

@@ -12,7 +12,7 @@
 use klinq_core::{persist, testkit, Backend, BatchDiscriminator, KlinqSystem, ShotStates};
 use klinq_serve::{
     CrashFaults, RequestOptions, ServeConfig, ServeError, ShardHealth, ShardedReadoutServer,
-    SuperviseConfig, Transport, WireClient, WireConfig, WireServer,
+    SuperviseConfig, WireClient, WireConfig, WireServer,
 };
 use std::collections::HashMap;
 use std::net::TcpListener;
@@ -42,8 +42,14 @@ fn direct(sys: &KlinqSystem, shots: &[klinq_sim::Shot]) -> Vec<ShotStates> {
     BatchDiscriminator::new(sys.discriminators()).classify_shots_on(Backend::Float, shots)
 }
 
-fn transports() -> Vec<Transport> {
-    vec![Transport::PollLoop, Transport::Auto]
+/// Reaping off: the reactor parks with no timeout, so a lost
+/// completion wakeup fails the test instead of hiding behind a reap
+/// tick.
+fn no_reap() -> WireConfig {
+    WireConfig {
+        idle_timeout: None,
+        ..WireConfig::default()
+    }
 }
 
 /// Fast supervision for tests: quick watchdog sweeps and a `Down`
@@ -86,7 +92,8 @@ fn wait_for(timeout: Duration, mut probe: impl FnMut() -> bool) -> bool {
 /// failover requests land on the peer (observed via the fleet failover
 /// counter) and opted-out requests answer `ShardDown`; afterwards the
 /// shard is serving again with `downs`/`restarts` incremented.
-fn kill_a_shard_under_load_on(transport: Transport) {
+#[test]
+fn kill_a_shard_under_load_fails_over_and_recovers_epoll_or_auto() {
     let sys = system();
     let all_shots = sys.test_data().shots().to_vec();
     let fleet = ShardedReadoutServer::start(
@@ -97,15 +104,9 @@ fn kill_a_shard_under_load_on(transport: Transport) {
             ..ServeConfig::default()
         },
     );
-    let server = WireServer::start_with(
-        &fleet,
-        TcpListener::bind("127.0.0.1:0").unwrap(),
-        WireConfig {
-            transport,
-            ..WireConfig::default()
-        },
-    )
-    .expect("start wire server");
+    let server =
+        WireServer::start_with(&fleet, TcpListener::bind("127.0.0.1:0").unwrap(), no_reap())
+            .expect("start wire server");
     let addr = server.local_addr();
 
     const WINDOW: usize = 4;
@@ -232,16 +233,6 @@ fn kill_a_shard_under_load_on(transport: Transport) {
         shard_down <= (WINDOW * 4) as u64,
         "too many ShardDown answers for failover-enabled traffic: {shard_down}"
     );
-}
-
-#[test]
-fn kill_a_shard_under_load_fails_over_and_recovers_epoll_or_auto() {
-    kill_a_shard_under_load_on(Transport::Auto);
-}
-
-#[test]
-fn kill_a_shard_under_load_fails_over_and_recovers_poll_loop() {
-    kill_a_shard_under_load_on(Transport::PollLoop);
 }
 
 #[test]
@@ -578,57 +569,49 @@ fn corrupt_device_boots_degraded_and_heals_from_disk() {
 
 #[test]
 fn wire_health_query_tracks_the_recovery_cycle() {
-    for transport in transports() {
-        let fleet = ShardedReadoutServer::start(
-            vec![system(), system()],
-            ServeConfig {
-                supervise: supervision(Duration::from_millis(300)),
-                ..ServeConfig::default()
-            },
-        );
-        let server = WireServer::start_with(
-            &fleet,
-            TcpListener::bind("127.0.0.1:0").unwrap(),
-            WireConfig {
-                transport,
-                ..WireConfig::default()
-            },
-        )
-        .unwrap();
-        let mut client = WireClient::connect(server.local_addr(), 0).unwrap();
-        client
-            .set_read_timeout(Some(Duration::from_secs(30)))
+    let fleet = ShardedReadoutServer::start(
+        vec![system(), system()],
+        ServeConfig {
+            supervise: supervision(Duration::from_millis(300)),
+            ..ServeConfig::default()
+        },
+    );
+    let server =
+        WireServer::start_with(&fleet, TcpListener::bind("127.0.0.1:0").unwrap(), no_reap())
             .unwrap();
+    let mut client = WireClient::connect(server.local_addr(), 0).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
 
-        let initial = client.fleet_health().expect("health query answered");
-        assert_eq!(initial.len(), 2, "{transport:?}: one report per shard");
-        assert!(initial.iter().all(|r| serving(r.health)), "{initial:?}");
-        assert!(initial.iter().all(|r| r.restarts == 0), "{initial:?}");
+    let initial = client.fleet_health().expect("health query answered");
+    assert_eq!(initial.len(), 2, "one report per shard");
+    assert!(initial.iter().all(|r| serving(r.health)), "{initial:?}");
+    assert!(initial.iter().all(|r| r.restarts == 0), "{initial:?}");
 
-        fleet.kill_shard(0).expect("inject the crash");
-        // The health query is answered synchronously by the reactor, so
-        // the outage itself is wire-visible…
-        assert!(
-            wait_for(Duration::from_secs(10), || {
-                let h = client.fleet_health().expect("health visible during the outage");
-                !serving(h[0].health)
-            }),
-            "{transport:?}: outage never became wire-visible"
-        );
-        // …and so is the recovery, with the restart counted.
-        assert!(
-            wait_for(Duration::from_secs(10), || {
-                let h = client.fleet_health().expect("health query answered");
-                serving(h[0].health) && h[0].restarts >= 1 && h[0].downs >= 1
-            }),
-            "{transport:?}: recovery never became wire-visible"
-        );
-        let final_report = client.fleet_health().unwrap();
-        assert!(
-            serving(final_report[1].health) && final_report[1].restarts == 0,
-            "{transport:?}: the healthy peer must be untouched: {final_report:?}"
-        );
-        server.shutdown();
-        fleet.shutdown();
-    }
+    fleet.kill_shard(0).expect("inject the crash");
+    // The health query is answered synchronously by the reactor, so
+    // the outage itself is wire-visible…
+    assert!(
+        wait_for(Duration::from_secs(10), || {
+            let h = client.fleet_health().expect("health visible during the outage");
+            !serving(h[0].health)
+        }),
+        "outage never became wire-visible"
+    );
+    // …and so is the recovery, with the restart counted.
+    assert!(
+        wait_for(Duration::from_secs(10), || {
+            let h = client.fleet_health().expect("health query answered");
+            serving(h[0].health) && h[0].restarts >= 1 && h[0].downs >= 1
+        }),
+        "recovery never became wire-visible"
+    );
+    let final_report = client.fleet_health().unwrap();
+    assert!(
+        serving(final_report[1].health) && final_report[1].restarts == 0,
+        "the healthy peer must be untouched: {final_report:?}"
+    );
+    server.shutdown();
+    fleet.shutdown();
 }

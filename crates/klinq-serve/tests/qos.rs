@@ -7,7 +7,7 @@ use klinq_core::testkit;
 use klinq_core::KlinqSystem;
 use klinq_serve::{
     Priority, ReadoutServer, RequestOptions, SchedPolicy, ServeConfig, ServeError,
-    ShardedReadoutServer, TenantId, TenantSpec, WireClient, WireServer,
+    ShardedReadoutServer, TenantId, TenantSpec, WireClient, WireConfig, WireServer,
 };
 use std::net::TcpListener;
 use std::path::Path;
@@ -145,9 +145,13 @@ fn unknown_tenant_over_the_wire_is_a_typed_frame_not_a_hangup() {
             ..ServeConfig::default()
         },
     );
-    let server = WireServer::start(
+    let server = WireServer::start_with(
         &fleet,
         TcpListener::bind("127.0.0.1:0").expect("bind loopback"),
+        WireConfig {
+            idle_timeout: None,
+            ..WireConfig::default()
+        },
     )
     .expect("start wire server");
     let mut client = WireClient::connect(server.local_addr(), 0).expect("connect");

@@ -7,7 +7,7 @@ use klinq_core::testkit;
 use klinq_core::{persist, Backend, BatchDiscriminator, KlinqSystem};
 use klinq_serve::{
     wire, Priority, RequestOptions, ServeConfig, ServeError, ShardedReadoutServer, WireClient,
-    WireServer,
+    WireConfig, WireServer,
 };
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -24,6 +24,16 @@ fn system() -> Arc<KlinqSystem> {
             "CARGO_TARGET_TMPDIR"
         ))))
     }))
+}
+
+/// Reaping off: the reactor parks with no timeout, so a lost
+/// completion wakeup fails the test instead of hiding behind a reap
+/// tick.
+fn no_reap() -> WireConfig {
+    WireConfig {
+        idle_timeout: None,
+        ..WireConfig::default()
+    }
 }
 
 /// Reads one whole frame payload off a blocking socket through the
@@ -55,9 +65,12 @@ fn wire_clients_match_direct_batches_on_a_two_device_fleet() {
                 ..ServeConfig::default()
             },
         );
-        let server =
-            WireServer::start(&fleet, TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
-                .expect("start wire server");
+        let server = WireServer::start_with(
+            &fleet,
+            TcpListener::bind("127.0.0.1:0").expect("bind loopback"),
+            no_reap(),
+        )
+        .expect("start wire server");
         let direct =
             BatchDiscriminator::new(sys.discriminators()).classify_shots_on(backend, &shots);
         for device in 0..2u16 {
@@ -164,7 +177,9 @@ fn wire_latency_priority_skips_the_linger_window() {
             ..ServeConfig::default()
         },
     );
-    let server = WireServer::start(&fleet, TcpListener::bind("127.0.0.1:0").unwrap()).unwrap();
+    let server =
+        WireServer::start_with(&fleet, TcpListener::bind("127.0.0.1:0").unwrap(), no_reap())
+            .unwrap();
     let mut client = WireClient::connect(server.local_addr(), 0).unwrap();
     let start = Instant::now();
     let states = client
@@ -207,7 +222,9 @@ fn wire_shutdown_does_not_deadlock_on_an_in_flight_lingering_batch() {
             ..ServeConfig::default()
         },
     );
-    let server = WireServer::start(&fleet, TcpListener::bind("127.0.0.1:0").unwrap()).unwrap();
+    let server =
+        WireServer::start_with(&fleet, TcpListener::bind("127.0.0.1:0").unwrap(), no_reap())
+            .unwrap();
     let addr = server.local_addr();
     std::thread::scope(|scope| {
         let request = {
@@ -239,7 +256,9 @@ fn wire_shutdown_does_not_deadlock_on_an_in_flight_lingering_batch() {
 fn wire_rejections_reach_the_client_typed() {
     let sys = system();
     let fleet = ShardedReadoutServer::start(vec![system()], ServeConfig::default());
-    let server = WireServer::start(&fleet, TcpListener::bind("127.0.0.1:0").unwrap()).unwrap();
+    let server =
+        WireServer::start_with(&fleet, TcpListener::bind("127.0.0.1:0").unwrap(), no_reap())
+            .unwrap();
     let mut client = WireClient::connect(server.local_addr(), 0).unwrap();
     // A request the serving system cannot classify: the intake
     // validation's typed rejection crosses the wire intact.
@@ -277,7 +296,9 @@ fn wire_rejections_reach_the_client_typed() {
 #[test]
 fn garbage_frames_get_a_typed_protocol_error_not_a_dead_server() {
     let fleet = ShardedReadoutServer::start(vec![system()], ServeConfig::default());
-    let server = WireServer::start(&fleet, TcpListener::bind("127.0.0.1:0").unwrap()).unwrap();
+    let server =
+        WireServer::start_with(&fleet, TcpListener::bind("127.0.0.1:0").unwrap(), no_reap())
+            .unwrap();
     // A raw socket speaking nonsense: the server must answer with a
     // typed error frame, close that connection, and keep serving others.
     let mut raw = TcpStream::connect(server.local_addr()).unwrap();

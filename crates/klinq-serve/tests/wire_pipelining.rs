@@ -1,16 +1,16 @@
-//! Reactor-transport behaviors the codec tests can't see: request
-//! pipelining with out-of-order completion matched by id (bitwise-equal
-//! to direct classification on both backends and both transports),
-//! client read timeouts, the connection budget's accept backpressure,
-//! idle-connection reaping, wire-level version skew, and a
+//! Reactor behaviors the codec tests can't see: request pipelining with
+//! out-of-order completion matched by id (bitwise-equal to direct
+//! classification on both backends), a blocking call behind a pipelined
+//! reply, client read timeouts, the connection budget's accept
+//! backpressure, idle-connection reaping, wire-level version skew, and a
 //! 256-connection pipelined load on one reactor thread.
 
 use klinq_core::testkit;
 use klinq_core::{Backend, BatchDiscriminator, KlinqSystem, ShotStates};
 use klinq_serve::wire::{self, codec, FrameAssembler, WireMessage};
 use klinq_serve::{
-    Priority, RequestOptions, ServeConfig, ServeError, ShardedReadoutServer, Shot, Transport,
-    WireClient, WireConfig, WireServer,
+    Priority, RequestOptions, ServeConfig, ServeError, ShardedReadoutServer, Shot, WireClient,
+    WireConfig, WireServer,
 };
 use klinq_sim::IqTrace;
 use std::collections::HashMap;
@@ -32,11 +32,14 @@ fn system() -> Arc<KlinqSystem> {
     }))
 }
 
-/// Both readiness mechanisms, so every scenario below exercises the
-/// epoll loop *and* the portable poll-loop fallback in one run. `Auto`
-/// additionally honours the `KLINQ_WIRE_TRANSPORT` override CI uses.
-fn transports() -> Vec<Transport> {
-    vec![Transport::PollLoop, Transport::Auto]
+/// Reaping off: the reactor parks with no timeout, so a lost
+/// completion wakeup fails the test instead of hiding behind a reap
+/// tick.
+fn no_reap() -> WireConfig {
+    WireConfig {
+        idle_timeout: None,
+        ..WireConfig::default()
+    }
 }
 
 /// Reads one whole frame payload off a blocking socket through the
@@ -122,75 +125,109 @@ fn pipelined_requests_complete_out_of_order_and_match_direct() {
     for backend in Backend::ALL {
         let direct =
             BatchDiscriminator::new(sys.discriminators()).classify_shots_on(backend, &shots);
-        for transport in transports() {
-            let fleet = ShardedReadoutServer::start(
-                vec![system(), system()],
-                ServeConfig {
-                    backend,
-                    // Long enough that parked responses can only arrive
-                    // via the expediting latency request below — which
-                    // makes the out-of-order assertion deterministic.
-                    max_linger: Duration::from_secs(15),
-                    max_batch_shots: usize::MAX,
-                    ..ServeConfig::default()
-                },
-            );
-            let server = WireServer::start_with(
-                &fleet,
-                TcpListener::bind("127.0.0.1:0").unwrap(),
-                WireConfig {
-                    transport,
-                    ..WireConfig::default()
-                },
-            )
-            .expect("start wire server");
-            // Raw frames on one connection: per-request device routing
-            // is a protocol feature, so devices 0 and 1 share the link.
-            let mut raw = TcpStream::connect(server.local_addr()).unwrap();
-            raw.set_nodelay(true).unwrap();
-            let mut asm = FrameAssembler::new();
-            let mut expected: HashMap<u64, Range<usize>> = HashMap::new();
-            let mut next_id = 1u64;
-            for r in &park {
-                send_request(&mut raw, next_id, 0, Priority::Throughput, &shots[r.clone()]);
-                expected.insert(next_id, r.clone());
-                next_id += 1;
-            }
-            let mut overtaking_ids = Vec::new();
-            for r in &overtake {
-                send_request(&mut raw, next_id, 1, Priority::Latency, &shots[r.clone()]);
-                expected.insert(next_id, r.clone());
-                overtaking_ids.push(next_id);
-                next_id += 1;
-            }
-            assert_eq!(expected.len(), park.len() + overtake.len());
-            // The device-1 responses arrive while device 0 still
-            // lingers: completion order differs from submission order.
-            for _ in &overtake {
-                let (id, states) = recv_states(&mut raw, &mut asm);
-                assert!(
-                    overtaking_ids.contains(&id),
-                    "device-0 request {id} answered while its batch should be parked \
-                     ({backend}, {transport:?})"
-                );
-                let r = expected.remove(&id).expect("each id answered once");
-                assert_eq!(states, direct[r], "{backend}, {transport:?}");
-            }
-            // A latency request to device 0 expedites the parked batch;
-            // the three parked responses and this one drain in any order.
-            send_request(&mut raw, next_id, 0, Priority::Latency, &shots[flush.clone()]);
-            expected.insert(next_id, flush.clone());
-            for _ in 0..=park.len() {
-                let (id, states) = recv_states(&mut raw, &mut asm);
-                let r = expected.remove(&id).expect("each id answered once");
-                assert_eq!(states, direct[r], "{backend}, {transport:?}");
-            }
-            assert!(expected.is_empty());
-            server.shutdown();
-            let stats = fleet.shutdown();
-            assert_eq!(stats.requests, 7, "{backend}, {transport:?}");
+        let fleet = ShardedReadoutServer::start(
+            vec![system(), system()],
+            ServeConfig {
+                backend,
+                // Long enough that parked responses can only arrive
+                // via the expediting latency request below — which
+                // makes the out-of-order assertion deterministic.
+                max_linger: Duration::from_secs(15),
+                max_batch_shots: usize::MAX,
+                ..ServeConfig::default()
+            },
+        );
+        let server =
+            WireServer::start_with(&fleet, TcpListener::bind("127.0.0.1:0").unwrap(), no_reap())
+                .expect("start wire server");
+        // Raw frames on one connection: per-request device routing
+        // is a protocol feature, so devices 0 and 1 share the link.
+        let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+        raw.set_nodelay(true).unwrap();
+        let mut asm = FrameAssembler::new();
+        let mut expected: HashMap<u64, Range<usize>> = HashMap::new();
+        let mut next_id = 1u64;
+        for r in &park {
+            send_request(&mut raw, next_id, 0, Priority::Throughput, &shots[r.clone()]);
+            expected.insert(next_id, r.clone());
+            next_id += 1;
         }
+        let mut overtaking_ids = Vec::new();
+        for r in &overtake {
+            send_request(&mut raw, next_id, 1, Priority::Latency, &shots[r.clone()]);
+            expected.insert(next_id, r.clone());
+            overtaking_ids.push(next_id);
+            next_id += 1;
+        }
+        assert_eq!(expected.len(), park.len() + overtake.len());
+        // The device-1 responses arrive while device 0 still
+        // lingers: completion order differs from submission order.
+        for _ in &overtake {
+            let (id, states) = recv_states(&mut raw, &mut asm);
+            assert!(
+                overtaking_ids.contains(&id),
+                "device-0 request {id} answered while its batch should be parked \
+                 ({backend})"
+            );
+            let r = expected.remove(&id).expect("each id answered once");
+            assert_eq!(states, direct[r], "{backend}");
+        }
+        // A latency request to device 0 expedites the parked batch;
+        // the three parked responses and this one drain in any order.
+        send_request(&mut raw, next_id, 0, Priority::Latency, &shots[flush.clone()]);
+        expected.insert(next_id, flush.clone());
+        for _ in 0..=park.len() {
+            let (id, states) = recv_states(&mut raw, &mut asm);
+            let r = expected.remove(&id).expect("each id answered once");
+            assert_eq!(states, direct[r], "{backend}");
+        }
+        assert!(expected.is_empty());
+        server.shutdown();
+        let stats = fleet.shutdown();
+        assert_eq!(stats.requests, 7, "{backend}");
     }
+}
+
+#[test]
+fn a_blocking_call_behind_a_pipelined_reply_gets_its_own_and_keeps_the_other() {
+    // The earlier pipelined submit is answered first (a shared
+    // micro-batch replies in submission order). The blocking call must
+    // read past that reply to its own and leave the earlier one queued
+    // for `recv_response`. A client that spins on its queue never
+    // reads, so no read timeout fires: the client runs on its own
+    // thread and the test bounds the wait instead.
+    let sys = system();
+    let shots = sys.test_data().shots()[..3].to_vec();
+    let direct =
+        BatchDiscriminator::new(sys.discriminators()).classify_shots_on(Backend::Float, &shots);
+    let fleet = ShardedReadoutServer::start(vec![system()], ServeConfig::default());
+    let server =
+        WireServer::start_with(&fleet, TcpListener::bind("127.0.0.1:0").unwrap(), no_reap())
+            .unwrap();
+    let mut client = WireClient::connect(server.local_addr(), 0).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let first = client
+            .submit_opts(RequestOptions::new(), &shots[..1])
+            .expect("submitted");
+        let blocking = client.classify_shots_opts(RequestOptions::new(), &shots[1..]);
+        let queued = client.recv_response();
+        let _ = done_tx.send((first, blocking, queued, client.in_flight()));
+    });
+    let (first, blocking, queued, in_flight) = done_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the blocking call never returned past the earlier reply");
+    worker.join().expect("client thread");
+    assert_eq!(blocking.expect("served"), direct[1..]);
+    let (id, result) = queued.expect("the earlier reply was kept");
+    assert_eq!(id, first);
+    assert_eq!(result.expect("served"), direct[..1]);
+    assert_eq!(in_flight, 0);
+    server.shutdown();
+    fleet.shutdown();
 }
 
 #[test]
@@ -212,7 +249,9 @@ fn requests_the_decoder_rejects_fail_synchronously_and_spare_the_connection() {
             ..ServeConfig::default()
         },
     );
-    let server = WireServer::start(&fleet, TcpListener::bind("127.0.0.1:0").unwrap()).unwrap();
+    let server =
+        WireServer::start_with(&fleet, TcpListener::bind("127.0.0.1:0").unwrap(), no_reap())
+            .unwrap();
     let mut client = WireClient::connect(server.local_addr(), 0).unwrap();
     let parked = client
         .submit_opts(RequestOptions::new(), std::slice::from_ref(&shot))
@@ -257,50 +296,47 @@ fn the_connection_budget_applies_accept_backpressure() {
     let shot = sys.test_data().shot(0).clone();
     let direct =
         BatchDiscriminator::new(sys.discriminators()).classify_shot_on(Backend::Float, &shot);
-    for transport in transports() {
-        let fleet = ShardedReadoutServer::start(vec![system()], ServeConfig::default());
-        let server = WireServer::start_with(
-            &fleet,
-            TcpListener::bind("127.0.0.1:0").unwrap(),
-            WireConfig {
-                max_connections: 2,
-                idle_timeout: None,
-                transport,
-                ..WireConfig::default()
-            },
-        )
-        .unwrap();
-        let mut c1 = WireClient::connect(server.local_addr(), 0).unwrap();
-        let mut c2 = WireClient::connect(server.local_addr(), 0).unwrap();
-        assert_eq!(
-            c1.classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&shot)).unwrap()[0],
-            direct
-        );
-        assert_eq!(
-            c2.classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&shot)).unwrap()[0],
-            direct
-        );
-        // The third connection handshakes (kernel backlog) but sits
-        // unaccepted at the budget: its request gets no answer.
-        let mut c3 = WireClient::connect(server.local_addr(), 0).unwrap();
-        c3.set_read_timeout(Some(Duration::from_millis(300))).unwrap();
-        c3.submit_opts(RequestOptions::new(), std::slice::from_ref(&shot)).unwrap();
-        match c3.recv_response() {
-            Err(ServeError::Timeout) => {}
-            other => panic!("budget ignored: third connection got {other:?}"),
-        }
-        // A slot frees; the reactor resumes accepting, reads the
-        // buffered request, and answers it.
-        drop(c1);
-        c3.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-        let (_, result) = c3.recv_response().expect("accepted after a slot freed");
-        assert_eq!(result.expect("served"), vec![direct]);
-        let stats = server.stats();
-        assert_eq!(stats.wire_accepted, 3, "{transport:?}");
-        assert_eq!(stats.wire_peak_open, 2, "{transport:?}: budget breached");
-        server.shutdown();
-        fleet.shutdown();
+    let fleet = ShardedReadoutServer::start(vec![system()], ServeConfig::default());
+    let server = WireServer::start_with(
+        &fleet,
+        TcpListener::bind("127.0.0.1:0").unwrap(),
+        WireConfig {
+            max_connections: 2,
+            idle_timeout: None,
+            ..WireConfig::default()
+        },
+    )
+    .unwrap();
+    let mut c1 = WireClient::connect(server.local_addr(), 0).unwrap();
+    let mut c2 = WireClient::connect(server.local_addr(), 0).unwrap();
+    assert_eq!(
+        c1.classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&shot)).unwrap()[0],
+        direct
+    );
+    assert_eq!(
+        c2.classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&shot)).unwrap()[0],
+        direct
+    );
+    // The third connection handshakes (kernel backlog) but sits
+    // unaccepted at the budget: its request gets no answer.
+    let mut c3 = WireClient::connect(server.local_addr(), 0).unwrap();
+    c3.set_read_timeout(Some(Duration::from_millis(300))).unwrap();
+    c3.submit_opts(RequestOptions::new(), std::slice::from_ref(&shot)).unwrap();
+    match c3.recv_response() {
+        Err(ServeError::Timeout) => {}
+        other => panic!("budget ignored: third connection got {other:?}"),
     }
+    // A slot frees; the reactor resumes accepting, reads the
+    // buffered request, and answers it.
+    drop(c1);
+    c3.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let (_, result) = c3.recv_response().expect("accepted after a slot freed");
+    assert_eq!(result.expect("served"), vec![direct]);
+    let stats = server.stats();
+    assert_eq!(stats.wire_accepted, 3);
+    assert_eq!(stats.wire_peak_open, 2, "budget breached");
+    server.shutdown();
+    fleet.shutdown();
 }
 
 #[test]
@@ -359,7 +395,9 @@ fn idle_connections_are_reaped_under_the_configured_timeout() {
 #[test]
 fn wire_version_skew_earns_a_typed_error_frame() {
     let fleet = ShardedReadoutServer::start(vec![system()], ServeConfig::default());
-    let server = WireServer::start(&fleet, TcpListener::bind("127.0.0.1:0").unwrap()).unwrap();
+    let server =
+        WireServer::start_with(&fleet, TcpListener::bind("127.0.0.1:0").unwrap(), no_reap())
+            .unwrap();
     // A protocol-v1 peer (PR 5: no request ids) sends a well-formed v1
     // request; the server must answer with the version-skew error on the
     // connection lane, not misparse the body or hang up silently.
@@ -407,7 +445,9 @@ fn the_reactor_sustains_256_pipelined_connections() {
             ..ServeConfig::default()
         },
     );
-    let server = WireServer::start(&fleet, TcpListener::bind("127.0.0.1:0").unwrap()).unwrap();
+    let server =
+        WireServer::start_with(&fleet, TcpListener::bind("127.0.0.1:0").unwrap(), no_reap())
+            .unwrap();
     let mut clients = Vec::with_capacity(CONNS);
     for _ in 0..CONNS {
         clients.push(WireClient::connect(server.local_addr(), 0).unwrap());
