@@ -25,6 +25,14 @@
 //! exact single-sample order (see `Dense::forward_infer_into`). Ragged
 //! blocks (mixed trace lengths) fall back to the identical scalar path.
 //!
+//! The engine reads any [`ShotSource`]: a `&[Shot]` slice from simulation
+//! or evaluation, a flat [`crate::ShotBlock`] decoded off the wire, or a
+//! server's micro-batch of blocks ([`crate::BlockBatch`]) read in place.
+//! Chunks and four-shot quads are indexed over the source as a whole, so
+//! a quad may straddle two requests' blocks; the kernels see the same
+//! four traces either way, and no output depends on where the source's
+//! segments begin.
+//!
 //! The bit-accurate Q16.16 datapath is batched the same way:
 //! [`BatchDiscriminator::classify_shots_on`] with [`Backend::Hardware`]
 //! gathers the same SoA blocks and runs the fused fixed-point kernel
@@ -37,6 +45,7 @@
 //! serving-throughput trajectory (see `BENCH_inference.json`).
 
 use crate::backend::Backend;
+use crate::block::ShotSource;
 use crate::discriminator::KlinqDiscriminator;
 use crate::eval::{assignment_fidelity, FidelityReport};
 use klinq_dsp::TraceBatch;
@@ -174,23 +183,27 @@ impl<'a> BatchDiscriminator<'a> {
         states
     }
 
-    /// Classifies one chunk with the fused SoA kernels and a batched
-    /// forward pass per qubit: four shots at a time are gathered into the
-    /// scratch's lane-interleaved [`TraceBatch`], the fused front end
-    /// extracts their feature rows while the block is cache-resident, and
-    /// the packed rows run through that qubit's student in a single
-    /// register-blocked GEMM. Ragged blocks and the chunk tail take the
-    /// bitwise-identical scalar path.
-    fn classify_chunk_into(&self, shots: &[Shot], out: &mut [ShotStates], scratch: &mut ShotScratch) {
-        debug_assert_eq!(shots.len(), out.len());
+    /// Classifies the chunk of shots `start..start + out.len()` with the
+    /// fused SoA kernels and a batched forward pass per qubit: four shots
+    /// at a time are gathered by index into the scratch's lane-interleaved
+    /// [`TraceBatch`], the fused front end extracts their feature rows
+    /// while the block is cache-resident, and the packed rows run through
+    /// that qubit's student in a single register-blocked GEMM. Ragged
+    /// blocks and the chunk tail take the bitwise-identical scalar path.
+    fn classify_chunk_into<S: ShotSource + ?Sized>(
+        &self,
+        shots: &S,
+        start: usize,
+        out: &mut [ShotStates],
+        scratch: &mut ShotScratch,
+    ) {
+        let (end, quads_end) = (start + out.len(), start + out.len() / 4 * 4);
         for (qb, d) in self.discriminators.iter().enumerate() {
             let student = d.student();
-            scratch.x.resize(shots.len(), student.pipeline.input_dim());
+            scratch.x.resize(out.len(), student.pipeline.input_dim());
             let mut rows = scratch.x.iter_rows_mut();
-            let mut quads = shots.chunks_exact(4);
-            for quad in &mut quads {
-                let t = [&quad[0].traces[qb], &quad[1].traces[qb], &quad[2].traces[qb], &quad[3].traces[qb]];
-                let traces = [(&*t[0].i, &*t[0].q), (&*t[1].i, &*t[1].q), (&*t[2].i, &*t[2].q), (&*t[3].i, &*t[3].q)];
+            for base in (start..quads_end).step_by(4) {
+                let traces: [(&[f32], &[f32]); 4] = std::array::from_fn(|k| shots.iq(base + k, qb));
                 let mut rs: [&mut [f32]; 4] = std::array::from_fn(|_| {
                     rows.next().expect("matrix rows match the shot count")
                 });
@@ -205,9 +218,9 @@ impl<'a> BatchDiscriminator<'a> {
                     }
                 }
             }
-            for (shot, row) in quads.remainder().iter().zip(rows) {
-                let t = &shot.traces[qb];
-                student.pipeline.extract_into(&t.i, &t.q, row);
+            for (shot, row) in (quads_end..end).zip(rows) {
+                let (i, q) = shots.iq(shot, qb);
+                student.pipeline.extract_into(i, q, row);
             }
             let logits = student.net.logits_batch_with(&scratch.x, &mut scratch.batch);
             for (states, &logit) in out.iter_mut().zip(logits) {
@@ -222,15 +235,19 @@ impl<'a> BatchDiscriminator<'a> {
     /// a time; ragged blocks and the chunk tail take the scalar
     /// [`klinq_fpga::FpgaDiscriminator::infer_with`] path (bitwise
     /// identical — every fixed-point accumulator wraps).
-    fn classify_chunk_hw_into(&self, shots: &[Shot], out: &mut [ShotStates], scratch: &mut ShotScratch) {
-        debug_assert_eq!(shots.len(), out.len());
+    fn classify_chunk_hw_into<S: ShotSource + ?Sized>(
+        &self,
+        shots: &S,
+        start: usize,
+        out: &mut [ShotStates],
+        scratch: &mut ShotScratch,
+    ) {
+        let tail_start = start + out.len() / 4 * 4;
         for (qb, d) in self.discriminators.iter().enumerate() {
             let hw = d.hardware();
-            let mut quads = shots.chunks_exact(4);
             let mut out_quads = out.chunks_exact_mut(4);
-            for (quad, out_quad) in (&mut quads).zip(&mut out_quads) {
-                let t = [&quad[0].traces[qb], &quad[1].traces[qb], &quad[2].traces[qb], &quad[3].traces[qb]];
-                let traces = [(&*t[0].i, &*t[0].q), (&*t[1].i, &*t[1].q), (&*t[2].i, &*t[2].q), (&*t[3].i, &*t[3].q)];
+            for (base, out_quad) in (start..).step_by(4).zip(&mut out_quads) {
+                let traces: [(&[f32], &[f32]); 4] = std::array::from_fn(|k| shots.iq(base + k, qb));
                 if scratch.traces.gather(traces) {
                     let details = hw.infer_batch_with(&scratch.traces, &mut scratch.hw_batch);
                     for (states, detail) in out_quad.iter_mut().zip(details) {
@@ -242,53 +259,61 @@ impl<'a> BatchDiscriminator<'a> {
                     }
                 }
             }
-            for (shot, states) in quads.remainder().iter().zip(out_quads.into_remainder()) {
-                let t = &shot.traces[qb];
-                states[qb] = hw.infer_with(&t.i, &t.q, &mut scratch.hw);
+            for (shot, states) in (tail_start..).zip(out_quads.into_remainder()) {
+                let (i, q) = shots.iq(shot, qb);
+                states[qb] = hw.infer_with(i, q, &mut scratch.hw);
             }
         }
     }
 
     /// Shared parallel driver: chunks the batch over the pool and lets
-    /// `per_chunk` fill each output chunk through the worker's scratch.
+    /// `per_chunk` fill each output chunk — given the source and the
+    /// chunk's first shot index — through the worker's scratch.
     /// Writeback is index-ordered, so output `i` is always shot `i`.
-    fn classify_batch<F>(&self, shots: &[Shot], per_chunk: F) -> Vec<ShotStates>
+    fn classify_batch<S, F>(&self, shots: &S, per_chunk: F) -> Vec<ShotStates>
     where
-        F: Fn(&[Shot], &mut [ShotStates], &mut ShotScratch) + Sync,
+        S: ShotSource + ?Sized,
+        F: Fn(&S, usize, &mut [ShotStates], &mut ShotScratch) + Sync,
     {
-        if shots.is_empty() {
+        let n = shots.shot_count();
+        if n == 0 {
             return Vec::new();
         }
-        let chunk = self.chunk_size_for(shots.len());
-        let mut out = vec![[false; 5]; shots.len()];
+        let chunk = self.chunk_size_for(n);
+        let mut out = vec![[false; 5]; n];
         out.par_chunks_mut(chunk)
             .enumerate()
             .for_each(|(ci, out_chunk)| {
-                let start = ci * chunk;
-                let in_chunk = &shots[start..start + out_chunk.len()];
-                SCRATCH.with(|s| per_chunk(in_chunk, out_chunk, &mut s.borrow_mut()));
+                SCRATCH.with(|s| per_chunk(shots, ci * chunk, out_chunk, &mut s.borrow_mut()));
             });
         out
     }
 
     /// Classifies a batch of shots in parallel on the chosen backend —
-    /// the single generic batch entry point.
+    /// the single generic batch entry point, for any [`ShotSource`]: a
+    /// `&[Shot]` slice, a flat [`crate::ShotBlock`], or a server's
+    /// micro-batch of blocks ([`crate::BlockBatch`]).
     ///
     /// Output index `i` is always shot `i`'s states, regardless of thread
-    /// scheduling, and every value is bitwise-identical to
-    /// [`Self::classify_shot_on`] (and therefore to sequential
-    /// [`KlinqDiscriminator::measure_on`]) on that shot. Both backends
-    /// gather four-shot SoA blocks into per-worker scratch and run the
-    /// fused cache-blocked kernels — the float backend finishing each
-    /// chunk with one register-blocked GEMM per qubit, the Q16.16 backend
-    /// with the fused fixed-point datapath — allocation-free after warmup.
-    pub fn classify_shots_on(&self, backend: Backend, shots: &[Shot]) -> Vec<ShotStates> {
+    /// scheduling or of where the source's segments begin, and every
+    /// value is bitwise-identical to [`Self::classify_shot_on`] (and
+    /// therefore to sequential [`KlinqDiscriminator::measure_on`]) on that
+    /// shot. Both backends gather four-shot SoA blocks into per-worker
+    /// scratch and run the fused cache-blocked kernels — the float
+    /// backend finishing each chunk with one register-blocked GEMM per
+    /// qubit, the Q16.16 backend with the fused fixed-point datapath —
+    /// allocation-free after warmup.
+    pub fn classify_shots_on<S: ShotSource + ?Sized>(
+        &self,
+        backend: Backend,
+        shots: &S,
+    ) -> Vec<ShotStates> {
         match backend {
-            Backend::Float => self.classify_batch(shots, |chunk, out, scratch| {
-                self.classify_chunk_into(chunk, out, scratch);
+            Backend::Float => self.classify_batch(shots, |s, start, out, scratch| {
+                self.classify_chunk_into(s, start, out, scratch);
             }),
-            Backend::Hardware => self.classify_batch(shots, |chunk, out, scratch| {
-                self.classify_chunk_hw_into(chunk, out, scratch);
+            Backend::Hardware => self.classify_batch(shots, |s, start, out, scratch| {
+                self.classify_chunk_hw_into(s, start, out, scratch);
             }),
         }
     }
@@ -403,7 +428,7 @@ mod tests {
         let sys = smoke_system();
         let batch = BatchDiscriminator::new(sys.discriminators());
         for backend in Backend::ALL {
-            assert!(batch.classify_shots_on(backend, &[]).is_empty());
+            assert!(batch.classify_shots_on(backend, &[] as &[Shot]).is_empty());
         }
     }
 
@@ -438,6 +463,50 @@ mod tests {
                     batch.classify_shot_on(backend, shot),
                     "shot {idx} diverged on {backend}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn a_batch_of_blocks_is_bitwise_identical_across_request_boundaries() {
+        use crate::{BlockBatch, ShotBlock};
+        let sys = smoke_system();
+        // Requests of 1, 3, 2, 5 and 7 shots, plus one (after the second)
+        // whose shots are truncated to three different lengths: quads
+        // straddle request boundaries, and every quad touching the
+        // truncated request is ragged and takes the scalar fallback.
+        let sizes = [1, 3, 3, 2, 5, 7];
+        let truncated = 2;
+        let mut shots: Vec<Shot> = sys.test_data().shots()[..sizes.iter().sum()].to_vec();
+        let keep = sys.test_data().samples() * 3 / 4;
+        let mut blocks = Vec::new();
+        let mut at = 0;
+        for (b, &n) in sizes.iter().enumerate() {
+            if b == truncated {
+                for (k, shot) in shots[at..at + n].iter_mut().enumerate() {
+                    for t in &mut shot.traces {
+                        t.i.truncate(keep - 2 * k);
+                        t.q.truncate(keep - 2 * k);
+                    }
+                }
+            }
+            blocks.push(ShotBlock::from(&shots[at..at + n]));
+            at += n;
+        }
+        let batch = BlockBatch::new(&blocks);
+        let whole = ShotBlock::from(&shots[..]);
+        for backend in Backend::ALL {
+            for chunk in [None, Some(1), Some(3), Some(5), Some(64)] {
+                let mut engine = BatchDiscriminator::new(sys.discriminators());
+                if let Some(c) = chunk {
+                    engine = engine.with_chunk_size(c);
+                }
+                let direct = engine.classify_shots_on(backend, &shots[..]);
+                assert_eq!(engine.classify_shots_on(backend, &batch), direct, "{backend} {chunk:?}");
+                assert_eq!(engine.classify_shots_on(backend, &whole), direct, "{backend} {chunk:?}");
+                for (k, shot) in shots.iter().enumerate() {
+                    assert_eq!(direct[k], engine.classify_shot_on(backend, shot), "shot {k} on {backend}");
+                }
             }
         }
     }

@@ -44,6 +44,7 @@
 pub mod backend;
 pub mod baselines;
 pub mod batch;
+pub mod block;
 pub mod discriminator;
 pub mod distill;
 pub mod error;
@@ -58,6 +59,7 @@ pub mod testkit;
 
 pub use backend::Backend;
 pub use batch::{BatchDiscriminator, ShotStates};
+pub use block::{BlockBatch, ShotBlock, ShotSource};
 pub use discriminator::{KlinqDiscriminator, KlinqSystem};
 pub use error::KlinqError;
 pub use eval::FidelityReport;

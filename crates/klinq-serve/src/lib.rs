@@ -107,5 +107,5 @@ pub use wire::{WireConfig, WireServer};
 
 // Re-exported so downstream code can name the request/response types
 // without depending on klinq-core / klinq-sim directly.
-pub use klinq_core::{Backend, ShotStates};
+pub use klinq_core::{Backend, ShotBlock, ShotStates};
 pub use klinq_sim::Shot;

@@ -71,7 +71,8 @@
 //! let opts = RequestOptions::new()
 //!     .tenant(TenantId(1))
 //!     .deadline(Duration::from_millis(5));
-//! let states = client.classify_shots_opts(opts, vec![/* shots */])?;
+//! let shots: Vec<klinq_serve::Shot> = vec![/* shots */];
+//! let states = client.classify_shots_opts(opts, shots)?;
 //! for tenant in server.tenant_stats() {
 //!     println!("{}: {} shots, {} shed", tenant.name, tenant.shots, tenant.shed);
 //! }

@@ -1,13 +1,15 @@
 //! The coalescing server: std threads + channels, no async runtime.
 //!
 //! One collector thread owns the [`KlinqSystem`] and a receiver. Clients
-//! are cheap cloneable sender handles; each request carries its shots and
-//! a private reply channel. The collector opens a micro-batch on the
-//! first request it receives, then keeps admitting requests until either
-//! the batch's shot budget ([`ServeConfig::max_batch_shots`]) is reached
-//! or the linger window ([`ServeConfig::max_linger`]) expires, classifies
-//! the whole batch in one call, and scatters the per-request slices back.
-//! An idle server blocks on `recv` and costs nothing.
+//! are cheap cloneable sender handles; each request carries its shots, as
+//! one flat [`ShotBlock`], and a private reply channel. The collector
+//! opens a micro-batch on the first request it receives, then keeps
+//! admitting requests until either the batch's shot budget
+//! ([`ServeConfig::max_batch_shots`]) is reached or the linger window
+//! ([`ServeConfig::max_linger`]) expires, classifies the whole batch in
+//! one call that reads the requests' blocks in place ([`BlockBatch`]),
+//! and scatters the per-request slices back. An idle server blocks on
+//! `recv` and costs nothing.
 //!
 //! Several scheduling policies shape the intake:
 //!
@@ -34,7 +36,9 @@ use crate::chaos::{self, Chaos, CrashFaults};
 use crate::metrics::{ServeAtomics, ServeStats, TenantAtomics};
 use crate::sched::{QueuedItem, RequestOptions, SchedPolicy, Scheduler, TenantId, TenantStats};
 use crate::supervise::{ChaosCrash, ShardHealth, ShardHealthReport, ShardMonitor, SuperviseConfig};
-use klinq_core::{Backend, BatchDiscriminator, KlinqSystem, ShotStates};
+use klinq_core::{
+    Backend, BatchDiscriminator, BlockBatch, KlinqSystem, ShotBlock, ShotSource, ShotStates,
+};
 use klinq_sim::Shot;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -368,16 +372,19 @@ impl Drop for Reply {
 
 /// One in-flight request: the shots to classify and where to answer.
 pub(crate) struct Request {
-    shots: Vec<Shot>,
+    /// The request's shots in one flat block, exactly as decoded or
+    /// submitted: the collector classifies it in place.
+    shots: ShotBlock,
     priority: Priority,
     tenant: TenantId,
     /// Absolute deadline (converted from the relative
     /// [`RequestOptions::deadline`] at submission).
     deadline: Option<Instant>,
-    /// Calibration-lane request: each shot's `prepared` states are
-    /// ground truth, so the collector scores the served states against
-    /// them and feeds the per-qubit fidelity/confusion counters.
-    calibration: bool,
+    /// Calibration-lane ground truth: each shot's prepared states, which
+    /// the collector scores the served states against to feed the
+    /// per-qubit fidelity/confusion counters. Empty for ordinary
+    /// requests.
+    labels: Vec<[bool; NUM_QUBITS]>,
     reply: Reply,
 }
 
@@ -419,7 +426,9 @@ enum Control {
 
 /// What travels over the intake channel.
 enum Msg {
-    Request(Request),
+    /// Boxed: a request with its shot block is several times the size of
+    /// the other messages, and every channel slot is sized for the largest.
+    Request(Box<Request>),
     Control(Control),
     /// Finish the batch in flight, then exit. Sent by
     /// [`ReadoutServer::shutdown`] so teardown never depends on every
@@ -522,6 +531,11 @@ impl ReadoutClient {
     /// [`Priority::Latency`] request closes its micro-batch immediately
     /// instead of waiting out the linger window.
     ///
+    /// `shots` is anything that converts into a [`ShotBlock`]: a
+    /// `Vec<Shot>` or `&[Shot]` is copied into one flat block, and a
+    /// block is taken as is. The collector classifies the block in
+    /// place.
+    ///
     /// An empty request completes immediately without a server round
     /// trip.
     ///
@@ -540,9 +554,9 @@ impl ReadoutClient {
     pub fn classify_shots_opts(
         &self,
         opts: RequestOptions,
-        shots: Vec<Shot>,
+        shots: impl Into<ShotBlock>,
     ) -> Result<Vec<ShotStates>, ServeError> {
-        self.classify_blocking(opts, false, shots)
+        self.classify_blocking(opts, Vec::new(), shots.into())
     }
 
     /// Classifies calibration shots: the result is served exactly like
@@ -562,18 +576,19 @@ impl ReadoutClient {
         &self,
         shots: Vec<Shot>,
     ) -> Result<Vec<ShotStates>, ServeError> {
-        self.classify_blocking(RequestOptions::new(), true, shots)
+        let labels = shots.iter().map(|s| s.prepared).collect();
+        self.classify_blocking(RequestOptions::new(), labels, shots.into())
     }
 
     fn classify_blocking(
         &self,
         opts: RequestOptions,
-        calibration: bool,
-        shots: Vec<Shot>,
+        labels: Vec<[bool; NUM_QUBITS]>,
+        shots: ShotBlock,
     ) -> Result<Vec<ShotStates>, ServeError> {
         let n_shots = shots.len();
         let (reply_tx, reply_rx) = mpsc::channel();
-        self.submit(opts, calibration, shots, move |result| {
+        self.submit(opts, labels, shots, move |result| {
             // A submitter that gave up (dropped its receiver) is not an
             // error for the batch.
             let _ = reply_tx.send(result);
@@ -598,7 +613,9 @@ impl ReadoutClient {
     /// micro-batch executes. This is the submission path the wire
     /// reactor uses — one event loop, thousands of requests in flight, no
     /// parked thread per request — and it threads tenant identity and
-    /// deadlines through.
+    /// deadlines through. `shots` converts into a [`ShotBlock`] as for
+    /// [`Self::classify_shots_opts`]; the reactor passes the block it
+    /// decoded from the frame, so wire shots are never copied again.
     ///
     /// An empty request completes immediately: `on_complete` runs with
     /// `Ok(vec![])` before this returns.
@@ -615,17 +632,17 @@ impl ReadoutClient {
     pub fn submit_opts(
         &self,
         opts: RequestOptions,
-        shots: Vec<Shot>,
+        shots: impl Into<ShotBlock>,
         on_complete: impl FnOnce(Result<Vec<ShotStates>, ServeError>) + Send + 'static,
     ) -> Result<(), ServeError> {
-        self.submit(opts, false, shots, on_complete)
+        self.submit(opts, Vec::new(), shots.into(), on_complete)
     }
 
     fn submit(
         &self,
         opts: RequestOptions,
-        calibration: bool,
-        shots: Vec<Shot>,
+        labels: Vec<[bool; NUM_QUBITS]>,
+        shots: ShotBlock,
         on_complete: impl FnOnce(Result<Vec<ShotStates>, ServeError>) + Send + 'static,
     ) -> Result<(), ServeError> {
         // The tenant table is fixed at server start, so an unknown id is
@@ -651,14 +668,14 @@ impl ReadoutClient {
         // immediate `Overloaded`, not an unbounded invisible wait. (No
         // retry-after hint here: the *global* queue is full, so the
         // tenant-backlog estimate does not apply.)
-        match target.try_send(Msg::Request(Request {
+        match target.try_send(Msg::Request(Box::new(Request {
             shots,
             priority: opts.priority,
             tenant: opts.tenant,
             deadline,
-            calibration,
+            labels,
             reply,
-        })) {
+        }))) {
             Ok(()) => Ok(()),
             Err(e) => {
                 // A rejected submission must not run its completion —
@@ -1082,7 +1099,7 @@ impl CrashState {
     /// Poison fault: keyed on the request's *content*, so the same
     /// request draws the same verdict in the batch and in its solo
     /// replay — exactly the signature of a genuinely poisonous request.
-    fn poisons(&self, shots: &[Shot]) -> bool {
+    fn poisons(&self, shots: &ShotBlock) -> bool {
         self.faults.poison_pct > 0
             && Chaos::new(self.faults.seed ^ fingerprint(shots)).chance(self.faults.poison_pct)
     }
@@ -1090,17 +1107,18 @@ impl CrashState {
 
 /// A cheap deterministic fingerprint of a request's shots (trace
 /// shapes plus leading samples) for content-keyed fault draws.
-fn fingerprint(shots: &[Shot]) -> u64 {
+fn fingerprint(shots: &ShotBlock) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |v: u64| {
         h ^= v;
         h = h.wrapping_mul(0x1000_0000_01b3);
     };
     mix(shots.len() as u64);
-    for shot in shots {
-        for trace in &shot.traces {
-            mix(trace.i.len() as u64);
-            if let (Some(&i0), Some(&q0)) = (trace.i.first(), trace.q.first()) {
+    for shot in 0..shots.len() {
+        for t in 0..shots.traces_of(shot) {
+            let (i, q) = shots.trace(shot, t);
+            mix(i.len() as u64);
+            if let (Some(&i0), Some(&q0)) = (i.first(), q.first()) {
                 mix(u64::from(i0.to_bits()));
                 mix(u64::from(q0.to_bits()));
             }
@@ -1134,11 +1152,11 @@ impl Model {
         }
     }
 
-    /// Classifies one contiguous micro-batch. The [`BatchDiscriminator`]
-    /// is a borrow wrapper rebuilt per batch (construction is a handful
-    /// of asserts), which is what lets the owned system swap between
-    /// batches.
-    fn classify(&self, backend: Backend, shots: &[Shot]) -> Vec<ShotStates> {
+    /// Classifies one micro-batch (or one request's block). The
+    /// [`BatchDiscriminator`] is a borrow wrapper rebuilt per batch
+    /// (construction is a handful of asserts), which is what lets the
+    /// owned system swap between batches.
+    fn classify<S: ShotSource + ?Sized>(&self, backend: Backend, shots: &S) -> Vec<ShotStates> {
         BatchDiscriminator::new(self.system.discriminators()).classify_shots_on(backend, shots)
     }
 }
@@ -1303,12 +1321,13 @@ fn sync_gauges(sched: &Scheduler<Request>, counters: &Counters) {
     }
 }
 
-/// One request of an assembled micro-batch, after its shots moved into
-/// the batch's contiguous buffer.
+/// One request of an assembled micro-batch, after its block moved into
+/// the batch's list of blocks.
 struct BatchEntry {
     reply: Reply,
     count: usize,
-    calibration: bool,
+    /// Calibration ground truth (see [`Request`]); empty otherwise.
+    labels: Vec<[bool; NUM_QUBITS]>,
     tenant: usize,
     deadline: Option<Instant>,
 }
@@ -1337,16 +1356,17 @@ fn note_batch(counters: &Counters, states: &[ShotStates]) {
 
 /// Delivers one request's slice of an executed batch: delivery-time
 /// deadline check, calibration scoring, per-tenant and global counters,
-/// then the reply. `offset` indexes the request's shots/states inside
-/// `states`/`shots` (0 for a solo replay).
-fn settle_one(entry: BatchEntry, states: &[ShotStates], shots: &[Shot], offset: usize, counters: &Counters) {
+/// then the reply. `offset` indexes the request's states inside
+/// `states` (0 for a solo replay).
+fn settle_one(entry: BatchEntry, states: &[ShotStates], offset: usize, counters: &Counters) {
     let BatchEntry {
         reply,
         count,
-        calibration,
+        labels,
         tenant,
         deadline,
     } = entry;
+    let states = &states[offset..offset + count];
     // Delivery-time deadline check: the batch may have executed
     // past a request's deadline (e.g. behind a long backlog). The
     // states exist but are stale by contract — answering typed here
@@ -1356,17 +1376,15 @@ fn settle_one(entry: BatchEntry, states: &[ShotStates], shots: &[Shot], offset: 
         reply.send(Err(ServeError::DeadlineExceeded));
         return;
     }
-    if calibration {
-        // Calibration lane: the shot buffer is still alive, so
-        // each shot's prepared states score the served states.
+    if !labels.is_empty() {
+        // Calibration lane: each shot's prepared states score the
+        // served states.
         let stats = &counters.stats;
         stats.calib_shots.fetch_add(count as u64, Ordering::Relaxed);
         let mut prep_excited = [0u64; NUM_QUBITS];
         let mut false_excited = [0u64; NUM_QUBITS];
         let mut false_ground = [0u64; NUM_QUBITS];
-        for i in offset..offset + count {
-            let prepared = shots[i].prepared;
-            let got = states[i];
+        for (prepared, got) in labels.iter().zip(states) {
             for qb in 0..NUM_QUBITS {
                 if prepared[qb] {
                     prep_excited[qb] += 1;
@@ -1388,7 +1406,7 @@ fn settle_one(entry: BatchEntry, states: &[ShotStates], shots: &[Shot], offset: 
     // Counted before the reply lands: a client that sees its answer
     // must also see it in the stats.
     counters.stats.requests.fetch_add(1, Ordering::Relaxed);
-    reply.send(Ok(states[offset..offset + count].to_vec()));
+    reply.send(Ok(states.to_vec()));
 }
 
 /// The quarantine path after a micro-batch panicked: replay each
@@ -1401,20 +1419,17 @@ fn settle_one(entry: BatchEntry, states: &[ShotStates], shots: &[Shot], offset: 
 /// re-batched.
 fn replay_solo(
     entries: Vec<BatchEntry>,
-    shots: &[Shot],
+    blocks: &[ShotBlock],
     poison: &[bool],
     active: &Model,
     config: &ServeConfig,
     counters: &Counters,
 ) {
-    let mut offset = 0;
-    for (i, entry) in entries.into_iter().enumerate() {
-        let slice = &shots[offset..offset + entry.count];
-        offset += entry.count;
-        let solo = if poison[i] {
+    for ((entry, block), &poisoned) in entries.into_iter().zip(blocks).zip(poison) {
+        let solo = if poisoned {
             None
         } else {
-            match catch_unwind(AssertUnwindSafe(|| active.classify(config.backend, slice))) {
+            match catch_unwind(AssertUnwindSafe(|| active.classify(config.backend, block))) {
                 Ok(states) => Some(states),
                 Err(_) => {
                     counters.note_panic();
@@ -1426,7 +1441,7 @@ fn replay_solo(
             Some(states) => {
                 counters.monitor.note_clean_batch();
                 note_batch(counters, &states);
-                settle_one(entry, &states, slice, 0, counters);
+                settle_one(entry, &states, 0, counters);
             }
             None => {
                 counters.note_poisoned(entry.tenant);
@@ -1452,9 +1467,9 @@ fn run_batch(
     sched: &mut Scheduler<Request>,
     crash: &mut Option<CrashState>,
 ) {
-    // One contiguous shot buffer for the engine; shots are moved, never
-    // cloned.
-    let mut shots = Vec::new();
+    // Each request keeps its own block; the engine reads them back to
+    // back as one batch, so no shot is copied or moved shot by shot.
+    let mut blocks = Vec::with_capacity(batch.len());
     let mut entries = Vec::with_capacity(batch.len());
     let mut latency_requests = 0u64;
     let mut expedited = false;
@@ -1467,12 +1482,13 @@ fn run_batch(
         entries.push(BatchEntry {
             reply: req.reply,
             count: req.shots.len(),
-            calibration: req.calibration,
+            labels: req.labels,
             tenant,
             deadline: item.deadline,
         });
-        shots.extend(req.shots);
+        blocks.push(req.shots);
     }
+    let shots = BlockBatch::new(&blocks);
     let stats = &counters.stats;
     stats
         .latency_requests
@@ -1484,14 +1500,10 @@ fn run_batch(
     // Crash-fault draws — pure decisions, taken before the unwind
     // boundary. Poison is content-keyed per request; the transient
     // batch draw consumes its stream once per batch.
-    let mut poison = vec![false; entries.len()];
-    if let Some(cr) = crash.as_ref() {
-        let mut off = 0;
-        for (flag, entry) in poison.iter_mut().zip(&entries) {
-            *flag = cr.poisons(&shots[off..off + entry.count]);
-            off += entry.count;
-        }
-    }
+    let poison: Vec<bool> = match crash.as_ref() {
+        Some(cr) => blocks.iter().map(|b| cr.poisons(b)).collect(),
+        None => vec![false; blocks.len()],
+    };
     let injected =
         poison.iter().any(|&p| p) || crash.as_mut().is_some_and(CrashState::batch_panic);
 
@@ -1512,7 +1524,7 @@ fn run_batch(
         // still-valid production traffic).
         let mut canary_states = None;
         if let Some(c) = canary.as_mut() {
-            if validate_shots(&shots, &c.model.min_samples).is_ok() {
+            if blocks.iter().all(|b| validate_shots(b, &c.model.min_samples).is_ok()) {
                 c.acc += c.fraction;
                 if c.acc >= 1.0 {
                     c.acc -= 1.0;
@@ -1527,7 +1539,7 @@ fn run_batch(
         Ok(classified) => classified,
         Err(_) => {
             counters.note_panic();
-            replay_solo(entries, &shots, &poison, active, config, counters);
+            replay_solo(entries, &blocks, &poison, active, config, counters);
             return;
         }
     };
@@ -1535,7 +1547,8 @@ fn run_batch(
     // The measured service rate drives retry-after hints; canary
     // double-classification is real work the backlog waits behind, so
     // it counts.
-    sched.observe_service(started.elapsed().as_nanos() as f64 / shots.len() as f64);
+    let n_shots = shots.shot_count();
+    sched.observe_service(started.elapsed().as_nanos() as f64 / n_shots as f64);
     let states = match &canary_states {
         Some(cs) => {
             stats.canary_batches.fetch_add(1, Ordering::Relaxed);
@@ -1544,7 +1557,7 @@ fn run_batch(
                 .fetch_add(entries.len() as u64, Ordering::Relaxed);
             stats
                 .canary_shots
-                .fetch_add(shots.len() as u64, Ordering::Relaxed);
+                .fetch_add(n_shots as u64, Ordering::Relaxed);
             let mut divergent = 0u64;
             let mut disagreements = [0u64; NUM_QUBITS];
             for (c_row, p_row) in cs.iter().zip(&primary_states) {
@@ -1573,7 +1586,7 @@ fn run_batch(
     let mut offset = 0;
     for entry in entries {
         let count = entry.count;
-        settle_one(entry, states, &shots, offset, counters);
+        settle_one(entry, states, offset, counters);
         offset += count;
     }
 }
@@ -1609,7 +1622,7 @@ fn collector_loop(
             }
             counters.monitor.beat();
             match rx.recv_timeout(HEARTBEAT_TICK) {
-                Ok(Msg::Request(req)) => route(req, &mut sched, &active, counters),
+                Ok(Msg::Request(req)) => route(*req, &mut sched, &active, counters),
                 Ok(Msg::Control(c)) => {
                     apply_control(intercept_kill(c), &mut active, &mut canary, counters);
                 }
@@ -1635,7 +1648,7 @@ fn collector_loop(
         // requests behind it belong to the post-command model.
         while pending_control.is_none() && !shutting_down {
             match rx.try_recv() {
-                Ok(Msg::Request(req)) => route(req, &mut sched, &active, counters),
+                Ok(Msg::Request(req)) => route(*req, &mut sched, &active, counters),
                 Ok(Msg::Control(c)) => pending_control = Some(intercept_kill(c)),
                 Ok(Msg::Shutdown) => shutting_down = true,
                 // Disconnected: the queued work still gets answered;
@@ -1672,7 +1685,7 @@ fn collector_loop(
                     c.saturating_duration_since(now).min(HEARTBEAT_TICK)
                 });
             match rx.recv_timeout(remaining) {
-                Ok(Msg::Request(req)) => route(req, &mut sched, &active, counters),
+                Ok(Msg::Request(req)) => route(*req, &mut sched, &active, counters),
                 Ok(Msg::Control(c)) => {
                     // A control arriving mid-linger closes the open
                     // batch — everything admitted before it is answered
@@ -1736,28 +1749,29 @@ fn collector_loop(
 /// Checks a request's shots against the serving system's front-end
 /// requirements: one trace per qubit, paired I/Q lengths, and at least
 /// that qubit's own averager floor per channel (`min_samples[qb]`).
-fn validate_shots(shots: &[Shot], min_samples: &[usize]) -> Result<(), String> {
-    for (idx, shot) in shots.iter().enumerate() {
-        if shot.traces.len() != min_samples.len() {
+fn validate_shots(shots: &ShotBlock, min_samples: &[usize]) -> Result<(), String> {
+    for idx in 0..shots.len() {
+        let traces = shots.traces_of(idx);
+        if traces != min_samples.len() {
             return Err(format!(
-                "shot {idx} carries {} traces, expected {}",
-                shot.traces.len(),
+                "shot {idx} carries {traces} traces, expected {}",
                 min_samples.len()
             ));
         }
-        for (qb, (t, &floor)) in shot.traces.iter().zip(min_samples).enumerate() {
-            if t.i.len() != t.q.len() {
+        for (qb, &floor) in min_samples.iter().enumerate() {
+            let (i, q) = shots.trace(idx, qb);
+            if i.len() != q.len() {
                 return Err(format!(
                     "shot {idx} qubit {qb}: I has {} samples but Q has {}",
-                    t.i.len(),
-                    t.q.len()
+                    i.len(),
+                    q.len()
                 ));
             }
-            if t.i.len() < floor {
+            if i.len() < floor {
                 return Err(format!(
                     "shot {idx} qubit {qb}: {} samples per channel, \
                      its feature front end needs at least {floor}",
-                    t.i.len()
+                    i.len()
                 ));
             }
         }

@@ -36,19 +36,28 @@
 //! wire intact and earns the same typed [`ServeError::InvalidRequest`]
 //! an in-process client gets, instead of corrupting the frame.
 //!
+//! A request decodes straight into one [`ShotBlock`]: each trace's I and
+//! Q bytes are converted into the block's flat sample arena in one pass,
+//! with no allocation per shot or per trace, so the samples are copied
+//! once between the reassembly buffer and the engine's kernels. Beyond
+//! its samples (4 bytes each, as on the wire) the block spends 8 bytes
+//! per shot, which takes at least 2 wire bytes, and 24 bytes per trace,
+//! which takes at least 8.
+//!
 //! Malformed bytes produce typed [`WireError`]s — bad magic, unsupported
 //! version, truncation, oversized frames — and never panic the decoder:
 //! every count is bounds-checked against the bytes actually present (and
 //! the shot count additionally against [`MAX_REQUEST_SHOTS`]) before
-//! anything is allocated, so a hostile frame cannot amplify its own size
-//! into a huge allocation.
+//! anything is allocated, and capacity is reserved from the bytes
+//! present, never from a declared count. A hostile frame therefore
+//! cannot amplify its own size beyond those per-shot and per-trace
+//! costs.
 
 use crate::server::{Priority, ServeError};
 use crate::supervise::{ShardHealth, ShardHealthReport};
-use klinq_core::ShotStates;
+use klinq_core::{ShotBlock, ShotStates};
 use klinq_sim::device::NUM_QUBITS;
-use klinq_sim::trajectory::StateEvolution;
-use klinq_sim::{IqTrace, Shot};
+use klinq_sim::Shot;
 use std::fmt;
 use std::io::{self, Read};
 
@@ -61,12 +70,12 @@ pub(crate) const WIRE_VERSION: u8 = 4;
 /// Refuse frames larger than this (256 MiB): a garbage length prefix
 /// must produce a typed error, not a giant allocation.
 pub(crate) const MAX_FRAME: u32 = 256 * 1024 * 1024;
-/// Refuse requests declaring more shots than this (1 Mi). Decoded
-/// `Shot` structs cost tens of bytes beyond their wire backing (a shot
-/// can declare zero traces in two bytes), so without a cap a hostile
-/// frame could amplify its size ~50× in allocations before intake
-/// validation ever sees it. Far above any sane request — batching
-/// budgets sit orders of magnitude below.
+/// Refuse requests declaring more shots than this (1 Mi). A decoded
+/// shot costs its [`ShotBlock`] one 8-byte trace start, and a shot can
+/// declare zero traces in two wire bytes, so the cap bounds that
+/// bookkeeping at 8 MiB per request before intake validation ever sees
+/// it. Far above any sane request — batching budgets sit orders of
+/// magnitude below.
 pub const MAX_REQUEST_SHOTS: u32 = 1 << 20;
 
 /// Request id reserved for connection-level error frames: protocol
@@ -152,9 +161,9 @@ pub enum WireMessage {
         /// Whether the request may fail over to a healthy peer shard
         /// when its own shard is `Down` (flags bit 0).
         allow_failover: bool,
-        /// The shots to classify. Decoded shots carry only traces (the
-        /// wire sends no labels); `prepared`/`evolutions` are defaulted.
-        shots: Vec<Shot>,
+        /// The shots to classify, decoded straight into one flat block
+        /// (the wire carries traces only, no labels).
+        shots: ShotBlock,
     },
     /// Client → server: report the fleet's per-shard health.
     Health {
@@ -491,17 +500,25 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.array()?))
     }
 
-    fn f32s(&mut self, n: usize) -> Result<Vec<f32>, WireError> {
-        // `take` bounds-checks n*4 against the remaining bytes *before*
-        // this allocates, so a hostile count cannot force a huge alloc.
-        let raw = self.take(n.checked_mul(4).ok_or(WireError::Malformed(
-            "sample count overflows".to_string(),
-        ))?)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect())
+    /// Reads one channel: a `u32` sample count, then that many `f32`s,
+    /// returned as their raw bytes. `take` bounds-checks the byte length
+    /// against what is present, so a hostile count fails typed.
+    fn samples(&mut self) -> Result<&'a [u8], WireError> {
+        let n = self.u32()? as usize;
+        let len = n
+            .checked_mul(4)
+            .ok_or_else(|| WireError::Malformed("sample count overflows".to_string()))?;
+        self.take(len)
     }
+}
+
+/// IEEE-754 little-endian sample bytes as `f32`s. Fixed-size chunks
+/// give the conversion a compile-time width and the iterator an exact
+/// length, so the block reserves once and the copy compiles to a
+/// straight vector loop (`chunks_exact(4)` left the width to runtime
+/// and decoded at under half the speed).
+fn le_f32s(raw: &[u8]) -> impl Iterator<Item = f32> + '_ {
+    raw.as_chunks::<4>().0.iter().map(|&c| f32::from_le_bytes(c))
 }
 
 /// Decodes one frame payload into a [`WireMessage`].
@@ -551,25 +568,26 @@ pub fn decode_message(payload: &[u8]) -> Result<WireMessage, WireError> {
             let n_shots = n_shots as usize;
             // Every declared shot needs at least its trace-count field.
             cur.check_backing(n_shots, 2)?;
-            let mut shots = Vec::with_capacity(n_shots);
+            // Capacity comes only from bytes present: a sample takes 4
+            // of them and a trace at least 8, so no declared count can
+            // reserve more than the frame backs. Traces are reserved for
+            // one per qubit per shot; other shapes grow as they decode.
+            let remaining = cur.remaining();
+            let mut shots = ShotBlock::with_capacity(
+                n_shots,
+                n_shots.saturating_mul(NUM_QUBITS).min(remaining / 8),
+                remaining / 4,
+            );
             for _ in 0..n_shots {
-                let n_traces = cur.u16()? as usize;
+                let n_traces = usize::from(cur.u16()?);
                 // Every declared trace needs at least its two counts.
                 cur.check_backing(n_traces, 8)?;
-                let mut traces = Vec::with_capacity(n_traces);
+                shots.push_shot();
                 for _ in 0..n_traces {
-                    let n_i = cur.u32()? as usize;
-                    let i = cur.f32s(n_i)?;
-                    let n_q = cur.u32()? as usize;
-                    let q = cur.f32s(n_q)?;
-                    traces.push(IqTrace { i, q });
+                    let i = cur.samples()?;
+                    let q = cur.samples()?;
+                    shots.push_trace(le_f32s(i), le_f32s(q));
                 }
-                // The wire carries no labels — classification needs none.
-                shots.push(Shot {
-                    prepared: [false; NUM_QUBITS],
-                    evolutions: [StateEvolution::Ground; NUM_QUBITS],
-                    traces,
-                });
             }
             WireMessage::Request {
                 req_id,

@@ -76,7 +76,7 @@ use crate::server::ServeError;
 use crate::supervise::ShardHealthReport;
 use klinq_core::ShotStates;
 use klinq_sim::Shot;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -168,6 +168,10 @@ pub struct WireClient {
     /// Health reports read from the socket while waiting on something
     /// else, delivered by the `fleet_health` call that asked.
     health_ready: Vec<(u64, Vec<ShardHealthReport>)>,
+    /// Ids whose blocking call gave up with an outer error while its
+    /// answer could still arrive on this connection: that late answer
+    /// is dropped on arrival, never reported. Cleared with the stream.
+    forgotten: HashSet<u64>,
     /// Inbound frame reassembly. Receives are buffered through this so
     /// one read syscall can drain a whole burst of pipelined responses
     /// (they are ~20 bytes each) instead of paying two syscalls per
@@ -228,6 +232,7 @@ impl WireClient {
             ready: VecDeque::new(),
             pending_health: Vec::new(),
             health_ready: Vec::new(),
+            forgotten: HashSet::new(),
             rx: FrameAssembler::new(),
             tx: Vec::new(),
         })
@@ -278,6 +283,26 @@ impl WireClient {
         // Health queries die with the stream — their waiters observe
         // the disconnect as an outer error, not a queued result.
         self.pending_health.clear();
+        // Nothing sent on the dead stream can be answered any more.
+        self.forgotten.clear();
+    }
+
+    /// Stops tracking `req_id` after the blocking call that owns it
+    /// failed with an outer error: the caller never saw the id, so it
+    /// must neither count as in flight nor surface later. Its queued
+    /// result, if any (a disconnect queues one), is discarded; if it was
+    /// still awaiting an answer on a live stream, that answer is dropped
+    /// when it arrives.
+    fn forget(&mut self, req_id: u64) {
+        let mut awaited = self.pending.remove(&req_id).is_some();
+        if let Some(at) = self.pending_health.iter().position(|&id| id == req_id) {
+            self.pending_health.swap_remove(at);
+            awaited = true;
+        }
+        self.ready.retain(|(id, _)| *id != req_id);
+        if awaited && !self.broken {
+            self.forgotten.insert(req_id);
+        }
     }
 
     /// Re-establishes a broken transport under the backoff policy.
@@ -333,7 +358,9 @@ impl WireClient {
     }
 
     /// Requests in flight: submitted, not yet returned by
-    /// [`recv_response`](Self::recv_response).
+    /// [`recv_response`](Self::recv_response). A blocking call's own
+    /// request never counts once the call has returned, whatever it
+    /// returned.
     pub fn in_flight(&self) -> usize {
         self.pending.len() + self.ready.len()
     }
@@ -537,6 +564,9 @@ impl WireClient {
         match message {
             Ok(WireMessage::Response { req_id, states }) => {
                 let Some(expected) = self.pending.remove(&req_id) else {
+                    if self.forgotten.remove(&req_id) {
+                        return Ok(());
+                    }
                     return Err(ServeError::Protocol(format!(
                         "response for unknown request id {req_id}"
                     )));
@@ -564,6 +594,9 @@ impl WireClient {
                     return Err(error);
                 }
                 if self.pending.remove(&req_id).is_none() {
+                    if self.forgotten.remove(&req_id) {
+                        return Ok(());
+                    }
                     return Err(ServeError::Protocol(format!(
                         "error frame for unknown request id {req_id}"
                     )));
@@ -573,6 +606,9 @@ impl WireClient {
             }
             Ok(WireMessage::HealthReport { req_id, shards }) => {
                 let Some(at) = self.pending_health.iter().position(|&id| id == req_id) else {
+                    if self.forgotten.remove(&req_id) {
+                        return Ok(());
+                    }
                     return Err(ServeError::Protocol(format!(
                         "health report for unknown request id {req_id}"
                     )));
@@ -603,7 +639,7 @@ impl WireClient {
     /// [`ServeError::Disconnected`] if the transport fails (the query
     /// is not auto-retried), [`ServeError::Timeout`] when the read
     /// deadline expires, and [`ServeError::Protocol`] for undecodable
-    /// replies.
+    /// replies. A report that arrives after the call failed is dropped.
     pub fn fleet_health(&mut self) -> Result<Vec<ShardHealthReport>, ServeError> {
         self.ensure_connected()?;
         let req_id = self.next_req_id;
@@ -618,12 +654,18 @@ impl WireClient {
             }
         }
         self.pending_health.push(req_id);
-        loop {
+        let report = loop {
             if let Some(at) = self.health_ready.iter().position(|(id, _)| *id == req_id) {
-                return Ok(self.health_ready.swap_remove(at).1);
+                break Ok(self.health_ready.swap_remove(at).1);
             }
-            self.pump_one()?;
+            if let Err(e) = self.pump_one() {
+                break Err(e);
+            }
+        };
+        if report.is_err() {
+            self.forget(req_id);
         }
+        report
     }
 
     /// Classifies a batch of shots over the wire with per-request
@@ -649,7 +691,10 @@ impl WireClient {
     /// retried idempotently under the same request id (reconnecting
     /// per the [`ReconnectPolicy`]) and surfaces as
     /// [`ServeError::Disconnected`] only once the policy is exhausted
-    /// (or reconnection is disabled).
+    /// (or reconnection is disabled). Whatever the error, the call's own
+    /// request is forgotten: it leaves [`Self::in_flight`], and an answer
+    /// that arrives after a timeout is dropped, never returned by
+    /// [`Self::recv_response`].
     pub fn classify_shots_opts(
         &mut self,
         opts: RequestOptions,
@@ -659,6 +704,22 @@ impl WireClient {
             return Ok(Vec::new());
         }
         let want = self.submit_opts(opts, shots)?;
+        let result = self.await_blocking(want, opts, shots);
+        if result.is_err() {
+            self.forget(want);
+        }
+        result
+    }
+
+    /// The blocking call's wait for its own id `want`: pumps frames,
+    /// keeping other ids' completions queued, and resubmits `want`
+    /// idempotently when the connection dies under it.
+    fn await_blocking(
+        &mut self,
+        want: u64,
+        opts: RequestOptions,
+        shots: &[Shot],
+    ) -> Result<Vec<ShotStates>, ServeError> {
         let mut resubmits = 0u32;
         loop {
             // Completions for *earlier* pipelined submits stay queued,

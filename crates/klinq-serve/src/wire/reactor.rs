@@ -10,9 +10,11 @@
 //! loop from outside. The module is therefore Linux-only: the crate
 //! compiles it, and with it [`WireServer`], on Linux alone.
 //!
-//! Requests decoded from a connection are submitted through the
-//! in-process [`ReadoutClient::submit_opts`] path with a
-//! completion callback, so wire traffic coalesces into the same
+//! Each request frame decodes straight from the connection's reassembly
+//! buffer into one flat [`ShotBlock`](klinq_core::ShotBlock), which is
+//! submitted unchanged through the in-process
+//! [`ReadoutClient::submit_opts`] path with a completion callback and
+//! classified in place, so wire traffic coalesces into the same
 //! micro-batches as in-process traffic and results stay
 //! bitwise-identical to `classify_shots_on` — only the transport
 //! changed. Completions arrive out of order (different devices,

@@ -3,8 +3,8 @@
 //! both backends, under real concurrency.
 
 use klinq_core::testkit;
-use klinq_core::{Backend, BatchDiscriminator, KlinqSystem};
-use klinq_serve::{Priority, ReadoutServer, RequestOptions, ServeConfig, ServeError};
+use klinq_core::{Backend, BatchDiscriminator, KlinqSystem, ShotStates};
+use klinq_serve::{Priority, ReadoutServer, RequestOptions, ServeConfig, ServeError, Shot};
 use std::path::Path;
 use std::sync::{mpsc, Arc, Barrier, OnceLock};
 use std::time::{Duration, Instant};
@@ -141,7 +141,7 @@ fn single_shot_api_and_empty_requests() {
     assert_eq!(states, direct);
     // Empty requests complete locally without touching the server.
     assert!(client
-        .classify_shots_opts(RequestOptions::new(), Vec::new())
+        .classify_shots_opts(RequestOptions::new(), Vec::<Shot>::new())
         .expect("empty ok")
         .is_empty());
     let stats = server.shutdown();
@@ -469,4 +469,116 @@ fn invalid_configs_panic_at_start_not_silently_on_the_collector() {
         )
     });
     assert!(zero_batch.is_err(), "max_batch_shots 0 must be rejected");
+}
+
+/// One generated request: shot count, a seed for its first test-set
+/// shot, every how many shots a shot is truncated (0 = none), and how
+/// far above the qubits' feature floors the cut lands (0 = at the floor).
+type RequestPlan = (usize, usize, usize, f64);
+
+/// Two to six requests of 1–40 shots each.
+fn request_plans() -> impl proptest::Strategy<Value = Vec<RequestPlan>> {
+    proptest::collection::vec((1usize..41, 0usize..10_000, 0usize..4, 0.0f64..1.0), 2..7)
+}
+
+/// Each planned request's shots, from the test set. A truncated shot has
+/// every qubit's trace cut to a length at or above that qubit's floor —
+/// still servable, but ragged against its neighbours.
+fn planned_requests(sys: &KlinqSystem, plans: &[RequestPlan]) -> Vec<Vec<Shot>> {
+    let pool = sys.test_data().shots();
+    let full = sys.test_data().samples();
+    let floors: Vec<usize> =
+        sys.discriminators().iter().map(|d| d.student().pipeline.averager().outputs()).collect();
+    plans
+        .iter()
+        .map(|&(count, seed, cut_every, above)| {
+            let start = seed % (pool.len() - count + 1);
+            let mut shots = pool[start..start + count].to_vec();
+            if cut_every > 0 {
+                for (k, shot) in shots.iter_mut().enumerate().step_by(cut_every) {
+                    for (t, &floor) in shot.traces.iter_mut().zip(&floors) {
+                        let keep = floor + ((full - floor) as f64 * above) as usize;
+                        let keep = keep.saturating_sub(k % 3).max(floor);
+                        t.i.truncate(keep);
+                        t.q.truncate(keep);
+                    }
+                }
+            }
+            shots
+        })
+        .collect()
+}
+
+/// What a calibration request adds to `calib_prepared_excited`,
+/// `calib_false_excited` and `calib_false_ground`, per qubit.
+fn calibration_counts(shots: &[Shot], states: &[ShotStates]) -> [[u64; 5]; 3] {
+    let mut counts = [[0u64; 5]; 3];
+    for (shot, states) in shots.iter().zip(states) {
+        for qb in 0..5 {
+            counts[0][qb] += u64::from(shot.prepared[qb]);
+            counts[1][qb] += u64::from(!shot.prepared[qb] && states[qb]);
+            counts[2][qb] += u64::from(shot.prepared[qb] && !states[qb]);
+        }
+    }
+    counts
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn coalesced_requests_of_mixed_shapes_match_direct(plans in request_plans()) {
+        // All requests share one micro-batch: its budget is their total
+        // and the linger never expires first, so the batch closes as the
+        // last one arrives. Every answer must still be exactly its own
+        // request's direct classification, and the calibration request
+        // (the last) must score exactly its own shots.
+        let sys = system();
+        let mut requests = planned_requests(&sys, &plans);
+        let calib = requests.pop().expect("at least two requests");
+        let total = requests.iter().map(Vec::len).sum::<usize>() + calib.len();
+        for backend in Backend::ALL {
+            let engine = BatchDiscriminator::new(sys.discriminators());
+            let server = ReadoutServer::start(
+                system(),
+                ServeConfig {
+                    backend,
+                    max_batch_shots: total,
+                    max_linger: Duration::from_secs(60),
+                    ..ServeConfig::default()
+                },
+            );
+            let client = server.client();
+            let (tx, rx) = mpsc::channel();
+            for (r, shots) in requests.iter().enumerate() {
+                let tx = tx.clone();
+                client
+                    .submit_opts(RequestOptions::new(), shots.clone(), move |result| {
+                        let _ = tx.send((r, result));
+                    })
+                    .expect("admitted");
+            }
+            let calib_states = client
+                .classify_calibration_shots(calib.clone())
+                .expect("calibration lane served");
+            proptest::prop_assert_eq!(&calib_states, &engine.classify_shots_on(backend, &calib));
+            for _ in &requests {
+                let (r, result) = rx.recv_timeout(Duration::from_secs(60)).expect("answered");
+                proptest::prop_assert_eq!(
+                    result.expect("served"),
+                    engine.classify_shots_on(backend, &requests[r]),
+                    "request {} on {}",
+                    r,
+                    backend
+                );
+            }
+            let stats = server.shutdown();
+            proptest::prop_assert_eq!(stats.batches, 1, "requests did not coalesce on {}", backend);
+            proptest::prop_assert_eq!(stats.calib_shots, calib.len() as u64);
+            proptest::prop_assert_eq!(
+                [stats.calib_prepared_excited, stats.calib_false_excited, stats.calib_false_ground],
+                calibration_counts(&calib, &calib_states)
+            );
+        }
+    }
 }

@@ -4,11 +4,12 @@
 //! skip the linger window.
 
 use klinq_core::testkit;
-use klinq_core::{persist, Backend, BatchDiscriminator, KlinqSystem};
+use klinq_core::{persist, Backend, BatchDiscriminator, KlinqSystem, ShotStates};
 use klinq_serve::{
-    wire, Priority, RequestOptions, ServeConfig, ServeError, ShardedReadoutServer, WireClient,
-    WireConfig, WireServer,
+    wire, Priority, RequestOptions, ServeConfig, ServeError, ShardedReadoutServer, Shot,
+    WireClient, WireConfig, WireServer,
 };
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
@@ -333,4 +334,124 @@ fn garbage_frames_get_a_typed_protocol_error_not_a_dead_server() {
     );
     server.shutdown();
     fleet.shutdown();
+}
+
+/// One generated request: shot count, a seed for its first test-set
+/// shot, every how many shots a shot is truncated (0 = none), and how
+/// far above the qubits' feature floors the cut lands (0 = at the floor).
+type RequestPlan = (usize, usize, usize, f64);
+
+/// Two to six requests of 1–40 shots each.
+fn request_plans() -> impl proptest::Strategy<Value = Vec<RequestPlan>> {
+    proptest::collection::vec((1usize..41, 0usize..10_000, 0usize..4, 0.0f64..1.0), 2..7)
+}
+
+/// Each planned request's shots, from the test set. A truncated shot has
+/// every qubit's trace cut to a length at or above that qubit's floor —
+/// still servable, but ragged against its neighbours.
+fn planned_requests(sys: &KlinqSystem, plans: &[RequestPlan]) -> Vec<Vec<Shot>> {
+    let pool = sys.test_data().shots();
+    let full = sys.test_data().samples();
+    let floors: Vec<usize> =
+        sys.discriminators().iter().map(|d| d.student().pipeline.averager().outputs()).collect();
+    plans
+        .iter()
+        .map(|&(count, seed, cut_every, above)| {
+            let start = seed % (pool.len() - count + 1);
+            let mut shots = pool[start..start + count].to_vec();
+            if cut_every > 0 {
+                for (k, shot) in shots.iter_mut().enumerate().step_by(cut_every) {
+                    for (t, &floor) in shot.traces.iter_mut().zip(&floors) {
+                        let keep = floor + ((full - floor) as f64 * above) as usize;
+                        let keep = keep.saturating_sub(k % 3).max(floor);
+                        t.i.truncate(keep);
+                        t.q.truncate(keep);
+                    }
+                }
+            }
+            shots
+        })
+        .collect()
+}
+
+/// What a calibration request adds to `calib_prepared_excited`,
+/// `calib_false_excited` and `calib_false_ground`, per qubit.
+fn calibration_counts(shots: &[Shot], states: &[ShotStates]) -> [[u64; 5]; 3] {
+    let mut counts = [[0u64; 5]; 3];
+    for (shot, states) in shots.iter().zip(states) {
+        for qb in 0..5 {
+            counts[0][qb] += u64::from(shot.prepared[qb]);
+            counts[1][qb] += u64::from(!shot.prepared[qb] && states[qb]);
+            counts[2][qb] += u64::from(shot.prepared[qb] && !states[qb]);
+        }
+    }
+    counts
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn coalesced_wire_requests_of_mixed_shapes_match_direct(plans in request_plans()) {
+        // Pipelined wire requests and one in-process calibration request
+        // share one micro-batch: its budget is their total and the linger
+        // never expires first. Every wire answer must be exactly its own
+        // request's direct classification, decoded from its frame into a
+        // block and read in place next to the others.
+        let sys = system();
+        let mut requests = planned_requests(&sys, &plans);
+        let calib = requests.pop().expect("at least two requests");
+        let total = requests.iter().map(Vec::len).sum::<usize>() + calib.len();
+        for backend in Backend::ALL {
+            let engine = BatchDiscriminator::new(sys.discriminators());
+            let fleet = ShardedReadoutServer::start(
+                vec![system()],
+                ServeConfig {
+                    backend,
+                    max_batch_shots: total,
+                    max_linger: Duration::from_secs(60),
+                    ..ServeConfig::default()
+                },
+            );
+            let server = WireServer::start_with(
+                &fleet,
+                TcpListener::bind("127.0.0.1:0").expect("bind loopback"),
+                no_reap(),
+            )
+            .expect("start wire server");
+            let mut client = WireClient::connect(server.local_addr(), 0).expect("connect loopback");
+            client.set_read_timeout(Some(Duration::from_secs(60))).expect("set read timeout");
+            let ids: Vec<u64> = requests
+                .iter()
+                .map(|shots| client.submit_opts(RequestOptions::new(), shots).expect("submitted"))
+                .collect();
+            let calib_states = fleet
+                .client(0)
+                .classify_calibration_shots(calib.clone())
+                .expect("calibration lane served");
+            proptest::prop_assert_eq!(&calib_states, &engine.classify_shots_on(backend, &calib));
+            let mut answers = HashMap::new();
+            for _ in &requests {
+                let (id, result) = client.recv_response().expect("answered");
+                answers.insert(id, result.expect("served"));
+            }
+            for (r, (id, shots)) in ids.iter().zip(&requests).enumerate() {
+                proptest::prop_assert_eq!(
+                    &answers[id],
+                    &engine.classify_shots_on(backend, shots),
+                    "request {} on {}",
+                    r,
+                    backend
+                );
+            }
+            server.shutdown();
+            let stats = fleet.shutdown();
+            proptest::prop_assert_eq!(stats.batches, 1, "requests did not coalesce on {}", backend);
+            proptest::prop_assert_eq!(stats.calib_shots, calib.len() as u64);
+            proptest::prop_assert_eq!(
+                [stats.calib_prepared_excited, stats.calib_false_excited, stats.calib_false_ground],
+                calibration_counts(&calib, &calib_states)
+            );
+        }
+    }
 }

@@ -7,7 +7,7 @@ use klinq_serve::wire::codec::encode_request_opts;
 use klinq_serve::wire::{
     decode_message, encode_error, encode_response, FrameAssembler, WireError, WireMessage,
 };
-use klinq_serve::{Priority, ServeError, Shot, ShotStates};
+use klinq_serve::{Priority, ServeError, Shot, ShotBlock, ShotStates};
 use std::time::Duration;
 use klinq_sim::dataset::IqTrace;
 use klinq_sim::device::NUM_QUBITS;
@@ -15,9 +15,8 @@ use klinq_sim::trajectory::StateEvolution;
 use proptest::prelude::*;
 
 /// Builds an unlabeled shot from per-trace sample vectors (the wire
-/// carries no labels, so decoded shots default them — mirror that here
-/// so round-trip equality is exact). I and Q carry distinct values so a
-/// codec that swapped or aliased the channels would fail the round trip.
+/// carries no labels). I and Q carry distinct values so a codec that
+/// swapped or aliased the channels would fail the round trip.
 fn shot_from_samples(trace_samples: Vec<Vec<f32>>) -> Shot {
     Shot {
         prepared: [false; NUM_QUBITS],
@@ -76,7 +75,9 @@ proptest! {
                 prop_assert_eq!(t, tenant);
                 prop_assert_eq!(dl, deadline_us);
                 prop_assert_eq!(fo, failover);
-                prop_assert_eq!(s, shots);
+                // Every trace, in order, unchanged: the decoded block is
+                // exactly the block built from the encoded shots.
+                prop_assert_eq!(s, ShotBlock::from(&shots[..]));
             }
             other => prop_assert!(false, "decoded {:?}", other),
         }
@@ -272,7 +273,11 @@ fn ragged_traces_round_trip_exactly() {
     let encoded =
         encode_request_opts(1, 0, Priority::Throughput, 0, 0, false, std::slice::from_ref(&shot));
     match decode_message(&encoded) {
-        Ok(WireMessage::Request { shots, .. }) => assert_eq!(shots, vec![shot]),
+        Ok(WireMessage::Request { shots, .. }) => {
+            assert_eq!(shots, ShotBlock::from(std::slice::from_ref(&shot)));
+            assert_eq!(shots.trace(0, 0), (&[1.0, 2.0, 3.0][..], &[-0.5][..]));
+            assert_eq!(shots.trace(0, 1), (&[4.0][..], &[][..]));
+        }
         other => panic!("decoded {other:?}"),
     }
 }
@@ -297,6 +302,19 @@ fn hostile_shot_counts_are_capped_before_allocation() {
         decode_message(&payload),
         Err(WireError::Truncated { .. })
     ));
+    // One shot declaring 65,535 traces in a short frame: the trace count
+    // is checked against the bytes present before the block reserves
+    // anything for it.
+    payload[len - 4..].copy_from_slice(&1u32.to_le_bytes());
+    payload.extend_from_slice(&u16::MAX.to_le_bytes());
+    payload.extend_from_slice(&[0; 16]);
+    match decode_message(&payload) {
+        Err(WireError::Truncated { expected, have }) => {
+            assert_eq!(have, payload.len());
+            assert_eq!(expected, payload.len() - 16 + usize::from(u16::MAX) * 8);
+        }
+        other => panic!("expected Truncated, got {other:?}"),
+    }
 }
 
 #[test]

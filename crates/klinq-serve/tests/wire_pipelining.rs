@@ -1,7 +1,8 @@
 //! Reactor behaviors the codec tests can't see: request pipelining with
 //! out-of-order completion matched by id (bitwise-equal to direct
 //! classification on both backends), a blocking call behind a pipelined
-//! reply, client read timeouts, the connection budget's accept
+//! reply, client read timeouts (a timed-out blocking call leaves nothing
+//! tracked, and its late answer is dropped), the connection budget's accept
 //! backpressure, idle-connection reaping, wire-level version skew, and a
 //! 256-connection pipelined load on one reactor thread.
 
@@ -109,6 +110,89 @@ fn a_server_that_accepts_but_never_replies_times_out_typed() {
         Err(ServeError::Timeout) => {}
         other => panic!("expected ServeError::Timeout, got {other:?}"),
     }
+}
+
+#[test]
+fn a_timed_out_blocking_call_leaves_nothing_in_flight() {
+    // A listener that never accepts: the blocking call can only time
+    // out. The caller never saw its request id, so nothing may stay
+    // tracked for a later `recv_response` to wait on.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().unwrap();
+    let mut client =
+        WireClient::connect_timeout(&addr, 0, Duration::from_secs(5)).expect("handshake");
+    client
+        .set_read_timeout(Some(Duration::from_millis(200)))
+        .expect("set read timeout");
+    let shot = system().test_data().shot(0).clone();
+    match client.classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&shot)) {
+        Err(ServeError::Timeout) => {}
+        other => panic!("expected ServeError::Timeout, got {other:?}"),
+    }
+    assert_eq!(client.in_flight(), 0, "the timed-out call is still tracked");
+    let t0 = Instant::now();
+    match client.recv_response() {
+        Err(ServeError::Closed) => {}
+        other => panic!("expected ServeError::Closed, got {other:?}"),
+    }
+    assert!(
+        t0.elapsed() < Duration::from_millis(100),
+        "recv_response waited {:?} on a forgotten request",
+        t0.elapsed()
+    );
+}
+
+#[test]
+fn a_late_answer_to_a_timed_out_call_is_dropped() {
+    // A raw peer holds the blocking call's request past its timeout,
+    // then answers it late, followed by a pipelined request's answer.
+    // `recv_response` must yield the pipelined answer only.
+    let sys = system();
+    let shots = sys.test_data().shots()[..6].to_vec();
+    let direct =
+        BatchDiscriminator::new(sys.discriminators()).classify_shots_on(Backend::Float, &shots);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut raw, _) = listener.accept().expect("accept");
+        let mut asm = FrameAssembler::new();
+        let mut answers = Vec::new();
+        // The second frame only arrives once the first call timed out.
+        for _ in 0..2 {
+            let frame = recv_frame(&mut raw, &mut asm).expect("read").expect("a request");
+            let Ok(WireMessage::Request { req_id, shots, .. }) = wire::decode_message(&frame) else {
+                panic!("expected a request frame");
+            };
+            let states =
+                BatchDiscriminator::new(system().discriminators()).classify_shots_on(Backend::Float, &shots);
+            answers.push(codec::frame(&codec::encode_response(req_id, &states)));
+        }
+        for answer in answers {
+            raw.write_all(&answer).expect("answer written");
+        }
+        // Hold the connection open until the client is done.
+        let _ = recv_frame(&mut raw, &mut asm);
+    });
+    let mut client =
+        WireClient::connect_timeout(&addr, 0, Duration::from_secs(5)).expect("handshake");
+    client
+        .set_read_timeout(Some(Duration::from_millis(200)))
+        .expect("set read timeout");
+    match client.classify_shots_opts(RequestOptions::new(), &shots[..2]) {
+        Err(ServeError::Timeout) => {}
+        other => panic!("expected ServeError::Timeout, got {other:?}"),
+    }
+    let pipelined = client.submit_opts(RequestOptions::new(), &shots[2..]).expect("submitted");
+    client
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("set read timeout");
+    let (id, result) = client.recv_response().expect("the pipelined answer");
+    assert_eq!(id, pipelined, "recv_response returned the timed-out call's id");
+    assert_eq!(result.expect("served"), direct[2..]);
+    assert_eq!(client.in_flight(), 0);
+    assert!(matches!(client.recv_response(), Err(ServeError::Closed)));
+    drop(client);
+    peer.join().expect("peer thread");
 }
 
 #[test]

@@ -14,10 +14,10 @@
 //!
 //! | rule | invariant |
 //! |------|-----------|
-//! | `no-panic-serve` | no `unwrap`/`expect`/panic-family macros/indexing `assert!` in `crates/klinq-serve/src` outside `#[cfg(test)]` |
+//! | `no-panic-serve` | no `unwrap`/`expect`/panic-family macros/indexing `assert!` in `crates/klinq-serve/src` or the shot block its wire decoder fills (`klinq_core::block`), outside `#[cfg(test)]` |
 //! | `unsafe-confinement` | `unsafe` only in `vendor/epoll` + `klinq_fixed::q16`, each block under a `// SAFETY:` comment; every other first-party crate root carries `#![forbid(unsafe_code)]` |
 //! | `stat-floor-locality` | fidelity/accuracy threshold literals live in `klinq_core::stat_floors`, nowhere else |
-//! | `determinism` | no `Instant::now`/`SystemTime::now`/`thread_rng`-style ambient nondeterminism in the wire codec, fixed-point, DSP kernels, or persist |
+//! | `determinism` | no `Instant::now`/`SystemTime::now`/`thread_rng`-style ambient nondeterminism in the wire codec, shot blocks, batch engine, fixed-point, DSP kernels, or persist |
 //! | `lossy-cast` | no `as_f64(...) as u64`-shaped narrowing of parsed values (the benchdiff PoolSize bug class) |
 //!
 //! A deliberate exception is annotated in the source it excuses:
@@ -307,11 +307,17 @@ impl FileInfo<'_> {
     }
 }
 
-/// Rule `no-panic-serve`: the client-visible serving crate must answer
-/// with typed errors, not panics. Applies to `crates/klinq-serve/src`
-/// outside `#[cfg(test)]` items.
+/// Files the serving path runs: the serving crate, plus the shot block
+/// its wire decoder fills from frame bytes on the reactor thread.
+fn no_panic_scope(path: &str) -> bool {
+    path.starts_with("crates/klinq-serve/src/") || path == "crates/klinq-core/src/block.rs"
+}
+
+/// Rule `no-panic-serve`: the client-visible serving path must answer
+/// with typed errors, not panics. Applies to [`no_panic_scope`] outside
+/// `#[cfg(test)]` items.
 fn rule_no_panic_serve(ctx: &FileInfo<'_>, out: &mut Vec<Finding>) {
-    if !ctx.path.starts_with("crates/klinq-serve/src/") {
+    if !no_panic_scope(ctx.path) {
         return;
     }
     let toks = &ctx.lexed.tokens;
@@ -517,11 +523,14 @@ fn rule_stat_floor_locality(ctx: &FileInfo<'_>, out: &mut Vec<Finding>) {
 }
 
 /// Modules that must stay free of ambient nondeterminism: the wire
-/// codec (frames must encode identically), fixed-point and DSP kernels
-/// (bitwise-equivalence oracles), and persist encode/decode
+/// codec (frames must encode identically), the shot block and the batch
+/// engine (served must equal direct, bitwise), fixed-point and DSP
+/// kernels (bitwise-equivalence oracles), and persist encode/decode
 /// (load-then-predict must equal train-then-predict).
 fn determinism_scope(path: &str) -> bool {
     path == "crates/klinq-serve/src/wire/codec.rs"
+        || path == "crates/klinq-core/src/block.rs"
+        || path == "crates/klinq-core/src/batch.rs"
         || path.starts_with("crates/klinq-fixed/src/")
         || path.starts_with("crates/klinq-dsp/src/")
         || path == "crates/klinq-core/src/persist.rs"
@@ -567,8 +576,9 @@ fn rule_determinism(ctx: &FileInfo<'_>, out: &mut Vec<Finding>) {
             "determinism",
             line,
             format!(
-            "ambient nondeterminism `{what}` in a deterministic module (wire codec / \
-            fixed-point / DSP kernels / persist) — thread explicit seeds or timestamps in"
+            "ambient nondeterminism `{what}` in a deterministic module (wire codec / shot \
+            block / batch engine / fixed-point / DSP kernels / persist) — thread explicit \
+            seeds or timestamps in"
             ),
         );
     }
@@ -636,7 +646,7 @@ fn rule_lossy_cast(ctx: &FileInfo<'_>, out: &mut Vec<Finding>) {
 
 /// Lints one file's source. `path` must be repo-relative with forward
 /// slashes — rules are scoped by path (e.g. `no-panic-serve` only fires
-/// under `crates/klinq-serve/src/`).
+/// on the serving path, `crates/klinq-serve/src/` and the shot block).
 pub fn lint_source(path: &str, src: &str) -> Vec<Finding> {
     let path = path.replace('\\', "/");
     let lexed = lex(src);
