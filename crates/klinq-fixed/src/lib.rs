@@ -36,4 +36,4 @@ pub mod vector;
 
 pub use q16::{OverflowPolicy, ParseFixedError, Q16_16};
 pub use shift::{nearest_pow2_exponent, shift_divide, Pow2Divisor};
-pub use vector::{dot, dot_wide, dot_wide_x4, WideAccumulator};
+pub use vector::{dot, dot_wide, dot_wide_2x4, dot_wide_x4, WideAccumulator};

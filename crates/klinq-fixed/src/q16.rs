@@ -1,5 +1,6 @@
 //! The [`Q16_16`] fixed-point number type.
 
+use crate::vector::round_shift_i64;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
@@ -179,7 +180,7 @@ impl Q16_16 {
     /// and rounded to nearest before the range check.
     pub fn checked_mul(self, rhs: Self) -> Option<Self> {
         let wide = self.0 as i64 * rhs.0 as i64;
-        let rounded = round_shift(wide, FRAC_BITS);
+        let rounded = round_shift_i64(wide, FRAC_BITS);
         if rounded > i32::MAX as i64 || rounded < i32::MIN as i64 {
             None
         } else {
@@ -213,9 +214,10 @@ impl Q16_16 {
     }
 
     /// Saturating multiplication (64-bit intermediate, round to nearest).
+    #[inline]
     pub fn saturating_mul(self, rhs: Self) -> Self {
         let wide = self.0 as i64 * rhs.0 as i64;
-        let rounded = round_shift(wide, FRAC_BITS);
+        let rounded = round_shift_i64(wide, FRAC_BITS);
         Self(clamp_i64(rounded))
     }
 
@@ -247,7 +249,7 @@ impl Q16_16 {
     /// 32 bits after the fractional shift, as an unguarded multiplier would.
     pub fn wrapping_mul(self, rhs: Self) -> Self {
         let wide = self.0 as i64 * rhs.0 as i64;
-        Self(round_shift(wide, FRAC_BITS) as i32)
+        Self(round_shift_i64(wide, FRAC_BITS) as i32)
     }
 
     /// Addition under an explicit [`OverflowPolicy`].
@@ -334,20 +336,8 @@ impl Q16_16 {
     }
 }
 
-/// Shift right by `bits` with round-to-nearest (ties away from zero),
-/// matching a DSP post-adder rounding stage.
 #[inline]
-fn round_shift(v: i64, bits: u32) -> i64 {
-    let half = 1i64 << (bits - 1);
-    if v >= 0 {
-        (v + half) >> bits
-    } else {
-        -((-v + half) >> bits)
-    }
-}
-
-#[inline]
-fn clamp_i64(v: i64) -> i32 {
+pub(crate) fn clamp_i64(v: i64) -> i32 {
     if v > i32::MAX as i64 {
         i32::MAX
     } else if v < i32::MIN as i64 {
@@ -429,10 +419,15 @@ impl Shr<u32> for Q16_16 {
 }
 
 /// Shift left: multiplication by `2^rhs` with saturation.
+///
+/// The shift is capped at 32: any non-zero `i32` shifted by 32 is already
+/// out of range (so it saturates by its sign), and at most 32 bits of
+/// shift keep the widened value inside `i64`, sign bit included.
 impl Shl<u32> for Q16_16 {
     type Output = Self;
+    #[inline]
     fn shl(self, rhs: u32) -> Self {
-        let wide = (self.0 as i64) << rhs.min(62);
+        let wide = (self.0 as i64) << rhs.min(32);
         Self(clamp_i64(wide))
     }
 }
@@ -631,6 +626,65 @@ mod tests {
         let x = Q16_16::from_f64(20000.0);
         assert_eq!(x << 4, Q16_16::MAX);
         assert_eq!((-x) << 4, Q16_16::MIN);
+        // Shifts at and past the width saturate by the sign, never wrap
+        // into the opposite end.
+        for n in [31, 32, 33, 47, 62, 63, u32::MAX] {
+            for v in [Q16_16::ONE, Q16_16::from_bits(3), Q16_16::EPSILON, x] {
+                assert_eq!(v << n, Q16_16::MAX, "{v:?} << {n}");
+                assert_eq!(-v << n, Q16_16::MIN, "{:?} << {n}", -v);
+            }
+            assert_eq!(Q16_16::ZERO << n, Q16_16::ZERO);
+        }
+        // The last in-range shifts of one ulp.
+        assert_eq!(Q16_16::EPSILON << 30, Q16_16::from_bits(1 << 30));
+        assert_eq!(-Q16_16::EPSILON << 31, Q16_16::MIN);
+    }
+
+    /// The sign-branching rounding shift that `round_shift_i64` replaces:
+    /// the oracle for the branchless form.
+    fn round_shift_branchy(v: i64, bits: u32) -> i64 {
+        let half = 1i64 << (bits - 1);
+        if v >= 0 {
+            (v + half) >> bits
+        } else {
+            -((-v + half) >> bits)
+        }
+    }
+
+    #[test]
+    fn branchless_round_shift_matches_branchy_oracle() {
+        let half = 1i64 << (FRAC_BITS - 1);
+        for v in [0, 1, half - 1, half, half + 1, 1 << 62] {
+            for v in [v, -v] {
+                assert_eq!(
+                    round_shift_i64(v, FRAC_BITS),
+                    round_shift_branchy(v, FRAC_BITS),
+                    "{v}"
+                );
+            }
+        }
+        // Seeded splitmix64 sweep of `i32 × i32` products, through every
+        // multiply that rounds with it.
+        let mut state = 0x5eed_u64;
+        for _ in 0..100_000 {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            // Random magnitudes too: shift each operand by 0–31 bits.
+            let a = Q16_16::from_bits((z as i32) >> (z >> 59));
+            let b = Q16_16::from_bits(((z >> 32) as i32) >> ((z >> 27) & 31));
+            let want = round_shift_branchy(a.0 as i64 * b.0 as i64, FRAC_BITS);
+            assert_eq!(
+                a.saturating_mul(b),
+                Q16_16(clamp_i64(want)),
+                "{a:?} * {b:?}"
+            );
+            assert_eq!(a.wrapping_mul(b), Q16_16(want as i32), "{a:?} * {b:?}");
+            let in_range = i32::try_from(want).ok().map(Q16_16);
+            assert_eq!(a.checked_mul(b), in_range, "{a:?} * {b:?}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! the training-time snap ([`nearest_pow2_exponent`]) and the inference-time
 //! shift ([`shift_divide`] / [`Pow2Divisor`]).
 
-use crate::q16::Q16_16;
+use crate::q16::{clamp_i64, Q16_16};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -41,7 +41,12 @@ pub fn nearest_pow2_exponent(x: f64) -> i32 {
 
 /// Divides `q` by `2^exponent` using shifts, exactly as the FPGA does.
 ///
-/// Negative exponents multiply (shift left, saturating).
+/// Negative exponents multiply (shift left, saturating): the result is
+/// `q >> exponent` for `exponent >= 0` and `q << -exponent` otherwise,
+/// bit for bit. It is computed without a branch — an arithmetic right
+/// shift by `max(e, 0)`, a widening left shift by `max(-e, 0)` and a
+/// clamp, at most one of the two shifts non-zero — so a loop of it over
+/// per-feature exponents vectorizes.
 ///
 /// # Examples
 ///
@@ -51,12 +56,13 @@ pub fn nearest_pow2_exponent(x: f64) -> i32 {
 /// assert_eq!(shift_divide(x, 2).to_f64(), 3.0);
 /// assert_eq!(shift_divide(x, -1).to_f64(), 24.0);
 /// ```
+#[inline]
 pub fn shift_divide(q: Q16_16, exponent: i32) -> Q16_16 {
-    if exponent >= 0 {
-        q >> exponent as u32
-    } else {
-        q << (-exponent) as u32
-    }
+    // The shift caps of `Shr` (31) and `Shl` (32).
+    let right = exponent.clamp(0, 31) as u32;
+    let left = exponent.saturating_neg().clamp(0, 32) as u32;
+    let wide = ((q.to_bits() >> right) as i64) << left;
+    Q16_16::from_bits(clamp_i64(wide))
 }
 
 /// A divisor snapped to a power of two, carrying both the exact value it
@@ -177,6 +183,32 @@ mod tests {
         assert_eq!(shift_divide(x, 3).to_f64(), -1.0);
         assert_eq!(shift_divide(x, 0), x);
         assert_eq!(shift_divide(x, -2).to_f64(), -32.0);
+        // Exponents at and below -33 saturate by the sign (σ < 2^-32.5).
+        for e in [-33, -47, -62, -63, -64, -1000, i32::MIN] {
+            assert_eq!(shift_divide(Q16_16::ONE, e), Q16_16::MAX, "e {e}");
+            assert_eq!(shift_divide(Q16_16::EPSILON, e), Q16_16::MAX, "e {e}");
+            assert_eq!(shift_divide(x, e), Q16_16::MIN, "e {e}");
+            assert_eq!(shift_divide(Q16_16::ZERO, e), Q16_16::ZERO, "e {e}");
+        }
+        // Large positive exponents leave the sign: 0 or -ε.
+        assert_eq!(shift_divide(Q16_16::MAX, 40), Q16_16::ZERO);
+        assert_eq!(shift_divide(x, i32::MAX), Q16_16::from_bits(-1));
+    }
+
+    #[test]
+    fn shift_divide_equals_the_shift_operators() {
+        let values = [0, 1, -1, 3, -3, 0x7fff, -0x8000, 1 << 16, 0x1234_5678];
+        for bits in values.into_iter().chain([i32::MAX, i32::MIN]) {
+            let q = Q16_16::from_bits(bits);
+            for e in -70i32..=70 {
+                let want = if e >= 0 {
+                    q >> e as u32
+                } else {
+                    q << e.unsigned_abs()
+                };
+                assert_eq!(shift_divide(q, e), want, "{bits} by 2^{e}");
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! (shifted back to Q16.16) and range-checked. This matches hardware
 //! behaviour where intermediate precision is wider than the storage format.
 
-use crate::q16::{Q16_16, FRAC_BITS};
+use crate::q16::{clamp_i64, Q16_16, FRAC_BITS};
 use serde::{Deserialize, Serialize};
 
 /// A Q32.32 accumulator (i64) for summing products of [`Q16_16`] values.
@@ -59,31 +59,31 @@ impl WideAccumulator {
         self.0 = self.0.wrapping_add(other.0);
     }
 
+    /// An accumulator holding raw Q32.32 bits (the inverse of
+    /// [`Self::to_raw`]).
+    pub fn from_raw(bits: i64) -> Self {
+        Self(bits)
+    }
+
     /// The raw Q32.32 bits.
     pub fn to_raw(self) -> i64 {
         self.0
     }
 
     /// Renormalizes to Q16.16 with saturation (the hardware write-back).
+    #[inline]
     pub fn to_fixed_saturating(self) -> Q16_16 {
-        let shifted = round_shift_i64(self.0, FRAC_BITS);
-        if shifted > i32::MAX as i64 {
-            Q16_16::MAX
-        } else if shifted < i32::MIN as i64 {
-            Q16_16::MIN
-        } else {
-            Q16_16::from_bits(shifted as i32)
-        }
+        self.to_fixed_flagged().0
     }
 
-    /// Renormalizes to Q16.16, reporting overflow instead of clamping.
-    pub fn to_fixed_checked(self) -> Option<Q16_16> {
+    /// Renormalizes to Q16.16 with saturation and reports whether it
+    /// saturated: the neuron write-back, with no branch, so the batched
+    /// layers' write-backs vectorize.
+    #[inline]
+    pub fn to_fixed_flagged(self) -> (Q16_16, bool) {
         let shifted = round_shift_i64(self.0, FRAC_BITS);
-        if shifted > i32::MAX as i64 || shifted < i32::MIN as i64 {
-            None
-        } else {
-            Some(Q16_16::from_bits(shifted as i32))
-        }
+        let clamped = clamp_i64(shifted);
+        (Q16_16::from_bits(clamped), i64::from(clamped) != shifted)
     }
 
     /// Value as f64 (exact for |raw| < 2^53).
@@ -94,11 +94,14 @@ impl WideAccumulator {
 
 /// Round-to-nearest arithmetic right shift, ties away from zero —
 /// branchless (sign-mask magnitude trick) so the per-neuron write-backs
-/// of the batched kernels never mispredict on mixed-sign accumulators.
-/// Bit-for-bit identical to the branching
-/// `if v >= 0 { (v + half) >> bits } else { -((-v + half) >> bits) }`.
+/// of the batched kernels and the averaging unit's reciprocal multiply
+/// never mispredict on mixed-sign values. The crate's one rounding
+/// shift: the [`Q16_16`] multiplies round with it too. Bit-for-bit
+/// identical to the branching
+/// `if v >= 0 { (v + half) >> bits } else { -((-v + half) >> bits) }`
+/// for every `|v| <= 2^62` (any `i32 × i32` product; tested).
 #[inline]
-fn round_shift_i64(v: i64, bits: u32) -> i64 {
+pub(crate) fn round_shift_i64(v: i64, bits: u32) -> i64 {
     let half = 1i64 << (bits - 1);
     let sign = v >> 63; // 0 for non-negative, -1 for negative
     let magnitude = (v ^ sign).wrapping_sub(sign);
@@ -190,6 +193,67 @@ pub fn dot_wide_x4(coeffs: &[Q16_16], lanes: &[Q16_16]) -> [WideAccumulator; 4] 
     acc
 }
 
+/// Two coefficient rows against four operand rows: the 2-neuron ×
+/// 4-lane MAC tile of the batched dense layers.
+///
+/// Entry `[r][l]` of the result equals [`dot_wide`]`(rows[r], lanes[l])`
+/// **bitwise**: each of the eight accumulators is a wrapping `i64` sum,
+/// so the order in which its products are added cannot change a bit.
+/// One pass over the six rows loads each weight once for all four lanes
+/// and each input once for both neurons; the eight independent scalar
+/// sums vectorize along the rows (sign-extending `i32 × i32 → i64`
+/// multiplies), where fixed-size accumulator arrays did not.
+///
+/// # Panics
+///
+/// Panics if the six rows differ in length.
+///
+/// # Examples
+///
+/// ```
+/// use klinq_fixed::{dot_wide, dot_wide_2x4, Q16_16};
+/// let row = |k: i32| -> Vec<Q16_16> { (0..5).map(|i| Q16_16::from_bits(i * k - 7)).collect() };
+/// let (w, x) = ([row(3), row(-2)], [row(1), row(5), row(-4), row(9)]);
+/// let acc = dot_wide_2x4([&w[0], &w[1]], [&x[0], &x[1], &x[2], &x[3]]);
+/// assert_eq!(acc[1][2], dot_wide(&w[1], &x[2]));
+/// ```
+#[inline]
+pub fn dot_wide_2x4(rows: [&[Q16_16]; 2], lanes: [&[Q16_16]; 4]) -> [[WideAccumulator; 4]; 2] {
+    let n = rows[0].len();
+    assert!(
+        rows[1].len() == n && lanes.iter().all(|x| x.len() == n),
+        "dot_wide_2x4: row length mismatch"
+    );
+    let (mut a00, mut a01, mut a02, mut a03) = (0i64, 0i64, 0i64, 0i64);
+    let (mut a10, mut a11, mut a12, mut a13) = (0i64, 0i64, 0i64, 0i64);
+    // Re-sliced to one length, so the indexing below has no bounds checks.
+    let (r0, r1) = (&rows[0][..n], &rows[1][..n]);
+    let (l0, l1, l2, l3) = (
+        &lanes[0][..n],
+        &lanes[1][..n],
+        &lanes[2][..n],
+        &lanes[3][..n],
+    );
+    let wide = |q: Q16_16| q.to_bits() as i64;
+    for k in 0..n {
+        let (w0, w1) = (wide(r0[k]), wide(r1[k]));
+        let (x0, x1, x2, x3) = (wide(l0[k]), wide(l1[k]), wide(l2[k]), wide(l3[k]));
+        a00 = a00.wrapping_add(w0 * x0);
+        a01 = a01.wrapping_add(w0 * x1);
+        a02 = a02.wrapping_add(w0 * x2);
+        a03 = a03.wrapping_add(w0 * x3);
+        a10 = a10.wrapping_add(w1 * x0);
+        a11 = a11.wrapping_add(w1 * x1);
+        a12 = a12.wrapping_add(w1 * x2);
+        a13 = a13.wrapping_add(w1 * x3);
+    }
+    let acc = WideAccumulator;
+    [
+        [acc(a00), acc(a01), acc(a02), acc(a03)],
+        [acc(a10), acc(a11), acc(a12), acc(a13)],
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,6 +311,33 @@ mod tests {
     }
 
     #[test]
+    fn dot_wide_2x4_matches_dot_wide_bitwise() {
+        // Large values, so the wide accumulators wrap.
+        for n in [0usize, 1, 2, 7, 31, 201] {
+            let row = |k: usize| -> Vec<Q16_16> {
+                (0..n)
+                    .map(|i| ((i * 7919 + k * 104_729) as i32).wrapping_mul(-0x2f1d_3a77))
+                    .map(Q16_16::from_bits)
+                    .collect()
+            };
+            let (w, x) = ([row(1), row(2)], [row(3), row(4), row(5), row(6)]);
+            let acc = dot_wide_2x4([&w[0], &w[1]], [&x[0], &x[1], &x[2], &x[3]]);
+            for (r, w) in w.iter().enumerate() {
+                for (l, x) in x.iter().enumerate() {
+                    assert_eq!(acc[r][l], dot_wide(w, x), "row {r}, lane {l}, n {n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "row length mismatch")]
+    fn dot_wide_2x4_rejects_ragged_rows() {
+        let (a, b) = ([Q16_16::ONE; 3], [Q16_16::ONE; 2]);
+        let _ = dot_wide_2x4([&a, &a], [&a, &a, &b, &a]);
+    }
+
+    #[test]
     #[should_panic(expected = "interleaved length mismatch")]
     fn dot_wide_x4_rejects_bad_length() {
         let _ = dot_wide_x4(&[Q16_16::ONE; 2], &[Q16_16::ONE; 7]);
@@ -266,12 +357,13 @@ mod tests {
             acc.mac(q(30000.0), q(30000.0));
         }
         assert_eq!(acc.to_fixed_saturating(), Q16_16::MAX);
-        assert_eq!(acc.to_fixed_checked(), None);
+        assert_eq!(acc.to_fixed_flagged(), (Q16_16::MAX, true));
         let mut neg = WideAccumulator::new();
         for _ in 0..10 {
             neg.mac(q(30000.0), q(-30000.0));
         }
         assert_eq!(neg.to_fixed_saturating(), Q16_16::MIN);
+        assert_eq!(neg.to_fixed_flagged(), (Q16_16::MIN, true));
     }
 
     #[test]
@@ -289,7 +381,11 @@ mod tests {
     fn checked_writeback_in_range() {
         let mut acc = WideAccumulator::new();
         acc.mac(q(100.0), q(2.0));
-        assert_eq!(acc.to_fixed_checked().unwrap().to_f64(), 200.0);
+        assert_eq!(acc.to_fixed_flagged(), (q(200.0), false));
+        // The range ends themselves are in range, not overflow.
+        for end in [Q16_16::MAX, Q16_16::MIN] {
+            assert_eq!(WideAccumulator::from_fixed(end).to_fixed_flagged(), (end, false));
+        }
     }
 
     #[test]

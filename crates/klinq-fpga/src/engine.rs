@@ -12,6 +12,7 @@ use crate::latency::{avg_norm_stages, mf_stages, network_stages, Clock, LatencyR
 use crate::quant::QuantizedDense;
 use crate::resources::{avg_norm_resources, network_resources, Resources};
 use klinq_dsp::{FeaturePipeline, TraceBatch};
+use klinq_fixed::q16::FRAC_BITS;
 use klinq_fixed::{dot_wide, dot_wide_x4, shift_divide, Q16_16, WideAccumulator};
 use klinq_nn::{Activation, Fnn};
 use serde::{Deserialize, Serialize};
@@ -83,15 +84,14 @@ pub struct HwScratch {
 /// Reusable fixed-point buffers for the **batched** Q16.16 datapath
 /// ([`FpgaDiscriminator::infer_batch_with`]): the quantized SoA trace
 /// block and front-end features in the same `sample × 4` interleaving as
-/// [`TraceBatch`], plus the per-lane contiguous buffers the fully
-/// connected stage ping-pongs through.
+/// [`TraceBatch`], plus the two buffers of lane rows (lane `l`'s vector
+/// at `[l * width, (l + 1) * width)`) the fully connected stage
+/// ping-pongs through.
 #[derive(Debug, Clone, Default)]
 pub struct HwBatchScratch {
     i_q: Vec<Q16_16>,
     q_q: Vec<Q16_16>,
     features: Vec<Q16_16>,
-    /// The four de-interleaved feature vectors, lane-contiguous
-    /// (normalization scatters into this; see `infer_batch_with`).
     lanes: Vec<Q16_16>,
     work: Vec<Q16_16>,
 }
@@ -262,7 +262,7 @@ impl FpgaDiscriminator {
             .zip(&self.norm_min)
             .zip(&self.norm_exp)
         {
-            *f = shift_divide(f.saturating_sub(mn), e);
+            *f = normalized(*f, mn, e);
         }
 
         // Fully connected pipeline, ping-ponging the two scratch buffers.
@@ -273,25 +273,27 @@ impl FpgaDiscriminator {
             overflow_count += layer.forward(&scratch.features, &mut scratch.work);
             std::mem::swap(&mut scratch.features, &mut scratch.work);
         }
-        let logit = scratch.features[0];
-        InferenceDetail {
-            excited: !logit.is_negative() && logit != Q16_16::ZERO,
-            logit,
-            overflow_count,
-        }
+        detail(scratch.features[0], overflow_count)
     }
 
     /// Runs one inference per lane of a gathered [`TraceBatch`] — the
     /// fused, cache-blocked form of [`Self::infer_detailed_with`] for the
     /// batched serving path.
     ///
-    /// The block's interleaved traces are quantized once into the scratch,
-    /// then averaging, the matched-filter MAC, shift normalization and the
-    /// fully connected pipeline all run four lanes side by side while the
-    /// block is L1-resident. Every stage keeps wrapping-integer
-    /// accumulators, so lane `l` is **bitwise-identical** to
-    /// [`Self::infer_detailed`] on that lane's traces — including the
-    /// logit and the overflow count.
+    /// The block's interleaved traces are quantized once into the
+    /// scratch. Averaging and the matched-filter MAC run four lanes side
+    /// by side in the same interleaving; normalization transposes the
+    /// features into one row per lane on its way; and each dense layer
+    /// runs once for all four rows ([`QuantizedDense::forward_x4`]),
+    /// streaming its weights once per block instead of once per lane.
+    ///
+    /// Lane `l` is **bitwise-identical** to [`Self::infer_detailed`] on
+    /// that lane's traces, logit and overflow count included. Every
+    /// accumulator on the way — averaging sums, matched-filter and neuron
+    /// MACs — is a wrapping `i64` sum, so the blocked evaluation order
+    /// gives the same bits as the per-shot order, and every write-back
+    /// (renormalization, reciprocal multiply, shift, ReLU) is the same
+    /// elementwise function of its accumulator on both paths.
     ///
     /// # Panics
     ///
@@ -304,6 +306,7 @@ impl FpgaDiscriminator {
     ) -> [InferenceDetail; TraceBatch::LANES] {
         const L: usize = TraceBatch::LANES;
         let m = self.outputs_per_channel;
+        let dim = self.input_dim();
 
         // ADC quantization of the interleaved block (elementwise, so the
         // interleaving is transparent).
@@ -316,11 +319,9 @@ impl FpgaDiscriminator {
             .q_q
             .extend(batch.q_interleaved().iter().map(|&v| Q16_16::from_f32(v)));
 
-        // Averaging unit over both channels, four lanes at a time. The
-        // feature buffer resizes without clearing: every slot is written
-        // by the stages below, so the warm path never memsets.
-        scratch.features.resize((2 * m + 1) * L, Q16_16::ZERO);
-        let (avg_i, rest) = scratch.features.split_at_mut(m * L);
+        // Averaging unit over both channels, four lanes at a time.
+        let features = grown(&mut scratch.features, dim * L);
+        let (avg_i, rest) = features.split_at_mut(m * L);
         let (avg_q, mf_slot) = rest.split_at_mut(m * L);
         self.average_batch_into(&scratch.i_q, avg_i);
         self.average_batch_into(&scratch.q_q, avg_q);
@@ -336,48 +337,48 @@ impl FpgaDiscriminator {
             *slot = a.to_fixed_saturating();
         }
 
-        // Shift normalization, constants broadcast across the four lanes,
-        // scattering each lane's feature vector out contiguously: the
-        // fully connected stage runs fastest on contiguous rows (widening
-        // SIMD loads of both weights and inputs), so the de-interleave is
-        // fused into the normalization write-back instead of being a pass
-        // of its own.
-        let dim = 2 * m + 1;
-        scratch.lanes.resize(dim * L, Q16_16::ZERO);
-        for (f, (&mn, &e)) in self.norm_min.iter().zip(&self.norm_exp).enumerate() {
-            for (l, &v) in scratch.features[f * L..(f + 1) * L].iter().enumerate() {
-                scratch.lanes[l * dim + f] = shift_divide(v.saturating_sub(mn), e);
+        // Shift normalization fused with the transpose into lane rows:
+        // one pass per lane over the per-feature constants, branch-free.
+        let features = &scratch.features[..dim * L];
+        let rows = grown(&mut scratch.lanes, dim * L);
+        for (l, row) in rows.chunks_exact_mut(dim).enumerate() {
+            for (((x, quad), &mn), &e) in row
+                .iter_mut()
+                .zip(features.chunks_exact(L))
+                .zip(&self.norm_min)
+                .zip(&self.norm_exp)
+            {
+                *x = normalized(quad[l], mn, e);
             }
         }
 
-        // Fully connected pipeline per lane over the contiguous rows,
-        // ping-ponging the (now free) interleaved buffer against the
-        // work buffer — the same scalar kernel as the per-shot path, so
-        // bitwise equality is inherited rather than re-argued.
-        std::array::from_fn(|l| {
-            scratch.features.clear();
-            scratch
-                .features
-                .extend_from_slice(&scratch.lanes[l * dim..(l + 1) * dim]);
-            let mut overflow_count = 0;
-            for layer in &self.layers {
-                scratch.work.clear();
-                scratch.work.resize(layer.output_dim(), Q16_16::ZERO);
-                overflow_count += layer.forward(&scratch.features, &mut scratch.work);
-                std::mem::swap(&mut scratch.features, &mut scratch.work);
+        // Fully connected pipeline, one pass per layer for all four lane
+        // rows, ping-ponging the two row buffers.
+        let (mut rows, mut next) = (&mut scratch.lanes, &mut scratch.work);
+        let mut width = dim;
+        let mut overflow_count = [0; L];
+        for layer in &self.layers {
+            let out = grown(next, layer.output_dim() * L);
+            let counts = layer.forward_x4(&rows[..width * L], out);
+            for (total, c) in overflow_count.iter_mut().zip(counts) {
+                *total += c;
             }
-            let logit = scratch.features[0];
-            InferenceDetail {
-                excited: !logit.is_negative() && logit != Q16_16::ZERO,
-                logit,
-                overflow_count,
-            }
-        })
+            std::mem::swap(&mut rows, &mut next);
+            width = layer.output_dim();
+        }
+        // The last layer has one neuron: one logit per lane.
+        std::array::from_fn(|l| detail(rows[l], overflow_count[l]))
     }
 
     /// Four-lane fixed-point averaging over a lane-interleaved channel —
     /// the batched form of [`Self::average_into`], bitwise-identical per
-    /// lane (wrapping wide accumulators, same per-group write-back).
+    /// lane, written in the same interleaving.
+    ///
+    /// Each group's raw samples sum in a plain `i64` per lane, shifted
+    /// once to Q32.32: `(Σx) << 16` is `Σ(x << 16)`, the per-shot path's
+    /// wrapping sum, to the bit. The divide is one choice per call (a
+    /// shift for a power-of-two group, else the reciprocal multiply), so
+    /// the write-back carries no data-dependent branch.
     fn average_batch_into(&self, channel: &[Q16_16], out: &mut [Q16_16]) {
         const L: usize = TraceBatch::LANES;
         let m = self.outputs_per_channel;
@@ -389,23 +390,20 @@ impl FpgaDiscriminator {
             "trace too short: {len} samples for {m} outputs"
         );
         let group = (len / m).max(1);
-        let shift = if group.is_power_of_two() {
-            Some(group.trailing_zeros() as i32)
-        } else {
-            None
-        };
+        let shift = group.is_power_of_two().then(|| group.trailing_zeros());
         let recip = Q16_16::from_f64(1.0 / group as f64);
-        for (k, slot) in out.chunks_exact_mut(L).enumerate() {
-            let mut acc = [WideAccumulator::new(); L];
-            for sample in channel[k * group * L..(k + 1) * group * L].chunks_exact(L) {
-                for (a, &s) in acc.iter_mut().zip(sample) {
-                    a.add_fixed(s);
+        for (slot, samples) in out.chunks_exact_mut(L).zip(channel.chunks_exact(group * L)) {
+            let mut sum = [0i64; L];
+            for quad in samples.chunks_exact(L) {
+                for (s, x) in sum.iter_mut().zip(quad) {
+                    *s += i64::from(x.to_bits());
                 }
             }
-            for (s, a) in slot.iter_mut().zip(acc) {
-                *s = match shift {
-                    Some(shift) => shift_divide(a.to_fixed_saturating(), shift),
-                    None => a.to_fixed_saturating().saturating_mul(recip),
+            for (v, s) in slot.iter_mut().zip(sum) {
+                let mean = WideAccumulator::from_raw(s << FRAC_BITS).to_fixed_saturating();
+                *v = match shift {
+                    Some(shift) => mean >> shift,
+                    None => mean.saturating_mul(recip),
                 };
             }
         }
@@ -471,36 +469,65 @@ impl FpgaDiscriminator {
     }
 }
 
+/// The first `len` slots of `buf`, growing it but never shrinking it, so
+/// a warm scratch neither reallocates nor clears: every slot handed out
+/// is written before it is read.
+fn grown(buf: &mut Vec<Q16_16>, len: usize) -> &mut [Q16_16] {
+    if buf.len() < len {
+        buf.resize(len, Q16_16::ZERO);
+    }
+    &mut buf[..len]
+}
+
+/// One feature through the shift normalizer, `(x − min) >> e`.
+/// `shift_divide` has no branch, so loops of this vectorize.
+#[inline]
+fn normalized(x: Q16_16, min: Q16_16, exponent: i32) -> Q16_16 {
+    shift_divide(x.saturating_sub(min), exponent)
+}
+
+/// The decision and detail of one inference from its final logit: read
+/// as |1⟩ when the sign bit is clear and the logit non-zero.
+fn detail(logit: Q16_16, overflow_count: usize) -> InferenceDetail {
+    InferenceDetail {
+        excited: !logit.is_negative() && logit != Q16_16::ZERO,
+        logit,
+        overflow_count,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use klinq_dsp::FeatureSpec;
     use klinq_nn::network::FnnBuilder;
     use klinq_nn::train::{train_supervised, Dataset, TrainConfig};
+    use klinq_nn::{Dense, Matrix};
 
     /// Owned (i, q) traces for one prepared class.
     type ClassTraces = Vec<(Vec<f32>, Vec<f32>)>;
 
+    /// `n` synthetic traces of `len` samples around one class level.
+    fn class_traces(level: f32, n: usize, len: usize) -> ClassTraces {
+        (0..n)
+            .map(|k| {
+                let jit = 0.15 * (((k * 13) % 9) as f32 - 4.0);
+                let i: Vec<f32> = (0..len)
+                    .map(|t| level + jit + 0.3 * ((t % 7) as f32 - 3.0))
+                    .collect();
+                let q: Vec<f32> = (0..len)
+                    .map(|t| -0.5 * level + 0.2 * ((t % 5) as f32 - 2.0))
+                    .collect();
+                (i, q)
+            })
+            .collect()
+    }
+
     /// Builds a trained 31-feature student on separable synthetic classes
     /// and returns (net, pipeline, sample traces per class).
     fn trained_setup() -> (Fnn, FeaturePipeline, ClassTraces, ClassTraces) {
-        let len = 120usize;
-        let make = |level: f32, n: usize| -> Vec<(Vec<f32>, Vec<f32>)> {
-            (0..n)
-                .map(|k| {
-                    let jit = 0.15 * (((k * 13) % 9) as f32 - 4.0);
-                    let i: Vec<f32> = (0..len)
-                        .map(|t| level + jit + 0.3 * ((t % 7) as f32 - 3.0))
-                        .collect();
-                    let q: Vec<f32> = (0..len)
-                        .map(|t| -0.5 * level + 0.2 * ((t % 5) as f32 - 2.0))
-                        .collect();
-                    (i, q)
-                })
-                .collect()
-        };
-        let ground = make(1.0, 48);
-        let excited = make(-1.0, 48);
+        let ground = class_traces(1.0, 48, 120);
+        let excited = class_traces(-1.0, 48, 120);
         let g: Vec<(&[f32], &[f32])> = ground
             .iter()
             .map(|(i, q)| (i.as_slice(), q.as_slice()))
@@ -598,26 +625,80 @@ mod tests {
         );
     }
 
+    /// Runs one block through `infer_batch_with` and asserts every lane
+    /// equals `infer_detailed` on its traces — full detail, logit bits
+    /// and overflow count included. Returns the lanes' details.
+    fn assert_lanes_match_per_shot(
+        hw: &FpgaDiscriminator,
+        block: [(&[f32], &[f32]); TraceBatch::LANES],
+        scratch: &mut HwBatchScratch,
+    ) -> [InferenceDetail; TraceBatch::LANES] {
+        let mut batch = TraceBatch::new();
+        assert!(batch.gather(block));
+        let details = hw.infer_batch_with(&batch, scratch);
+        for (l, (i, q)) in block.into_iter().enumerate() {
+            let want = hw.infer_detailed(i, q);
+            assert_eq!(details[l], want, "lane {l}, {} samples", i.len());
+        }
+        details
+    }
+
+    /// Two ground and two excited traces, cut to `len` samples.
+    fn mixed_block<'a>(
+        ground: &'a ClassTraces,
+        excited: &'a ClassTraces,
+        len: usize,
+    ) -> [(&'a [f32], &'a [f32]); TraceBatch::LANES] {
+        let (g, e) = (&ground[..2], &excited[..2]);
+        [&g[0], &g[1], &e[0], &e[1]].map(|(i, q)| (&i[..len], &q[..len]))
+    }
+
     #[test]
     fn batched_inference_is_bitwise_identical_per_lane() {
-        let (net, pipeline, ground, excited) = trained_setup();
+        let (net, pipeline, _, _) = trained_setup();
         let hw = FpgaDiscriminator::compile(&net, &pipeline, 120).unwrap();
-        let mut batch = TraceBatch::new();
+        let (ground, excited) = (class_traces(1.0, 2, 150), class_traces(-1.0, 2, 150));
         let mut scratch = HwBatchScratch::new();
-        // Mixed-class blocks at the full and a truncated duration.
-        for len in [120usize, 72] {
-            let block: Vec<(&[f32], &[f32])> = ground
-                .iter()
-                .take(2)
-                .chain(excited.iter().take(2))
-                .map(|(i, q)| (&i[..len], &q[..len]))
-                .collect();
-            assert!(batch.gather([block[0], block[1], block[2], block[3]]));
-            let details = hw.infer_batch_with(&batch, &mut scratch);
-            for (l, &(i, q)) in block.iter().enumerate() {
-                // Full detail — logit bits and overflow count included.
-                assert_eq!(details[l], hw.infer_detailed(i, q), "lane {l} len {len}");
-            }
+        // Averaging groups of 10 and 3 (the reciprocal write-back) as
+        // well as 8 and 4 (the shift), one scratch reused throughout.
+        for (len, group) in [(150usize, 10usize), (120, 8), (72, 4), (45, 3)] {
+            assert_eq!(len / hw.outputs_per_channel, group);
+            assert_lanes_match_per_shot(&hw, mixed_block(&ground, &excited, len), &mut scratch);
+        }
+    }
+
+    #[test]
+    fn batched_overflow_counts_are_per_lane() {
+        let (net, pipeline, ground, excited) = trained_setup();
+        let mut hw = FpgaDiscriminator::compile(&net, &pipeline, 120).unwrap();
+        // A first layer of large weights: in-range features stay in range,
+        // a lane driven 200× past the calibration saturates.
+        let (inputs, width) = (hw.input_dim(), hw.layers[0].output_dim());
+        let big = Matrix::from_vec(width, inputs, vec![64.0; width * inputs]);
+        let big = Dense::from_parts(big, vec![0.0; width], Activation::Relu);
+        hw.layers[0] = QuantizedDense::from_dense(&big);
+        let scale = |t: &[f32]| t.iter().map(|v| v * 200.0).collect::<Vec<f32>>();
+        let (loud_i, loud_q) = (scale(&ground[2].0), scale(&ground[2].1));
+        let mut block = mixed_block(&ground, &excited, 120);
+        block[1] = (&loud_i, &loud_q);
+        let details = assert_lanes_match_per_shot(&hw, block, &mut HwBatchScratch::new());
+        assert!(details[1].overflow_count > 0, "{details:?}");
+        assert_eq!(details[0].overflow_count, 0, "{details:?}");
+    }
+
+    #[test]
+    fn batched_negative_exponents_match_per_shot() {
+        let (net, pipeline, ground, excited) = trained_setup();
+        let mut hw = FpgaDiscriminator::compile(&net, &pipeline, 120).unwrap();
+        // Shift-left normalization (σ < 1), from one bit to past the
+        // width, among in-range right shifts.
+        let exponents = [-1, -3, 2, -12, 0, -33, -47, 1, -5];
+        for (e, &x) in hw.norm_exp.iter_mut().zip(exponents.iter().cycle()) {
+            *e = x;
+        }
+        let mut scratch = HwBatchScratch::new();
+        for len in [120, 72] {
+            assert_lanes_match_per_shot(&hw, mixed_block(&ground, &excited, len), &mut scratch);
         }
     }
 

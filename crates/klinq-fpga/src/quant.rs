@@ -1,6 +1,6 @@
 //! Q16.16 quantization of trained network layers.
 
-use klinq_fixed::{dot_wide, Q16_16, WideAccumulator};
+use klinq_fixed::{dot_wide, dot_wide_2x4, Q16_16, WideAccumulator};
 use klinq_nn::{Activation, Dense};
 use serde::{Deserialize, Serialize};
 
@@ -10,10 +10,11 @@ use serde::{Deserialize, Serialize};
 /// saturation, then a sign-bit ReLU.
 ///
 /// The weights are stored as one flat row-major buffer (one contiguous
-/// row per neuron), so the MAC loop streams the whole layer without
-/// pointer chasing — on wide-SIMD targets the contiguous rows load with
-/// widening vector loads, which is why the batched engine runs this
-/// same kernel once per lane after de-interleaving its feature block.
+/// row per neuron), so the MAC loops stream the layer without pointer
+/// chasing. [`Self::forward`] runs one input vector; the batched engine
+/// runs [`Self::forward_x4`], which walks each pair of rows once for the
+/// four lanes of a block. Both sum every neuron's products and bias in
+/// one wrapping `i64` accumulator, so they agree bit for bit.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QuantizedDense {
     /// Flat row-major weights: neuron `j`'s row at
@@ -85,18 +86,75 @@ impl QuantizedDense {
             .zip(self.weights.chunks_exact(self.input_dim))
             .zip(&self.bias)
         {
-            let mut acc = dot_wide(row, x);
-            acc.merge(WideAccumulator::from_fixed(b));
-            let v = match acc.to_fixed_checked() {
-                Some(v) => v,
-                None => {
-                    overflows += 1;
-                    acc.to_fixed_saturating()
-                }
-            };
-            *o = if self.relu { v.relu() } else { v };
+            let overflow;
+            (*o, overflow) = self.activate(dot_wide(row, x), b);
+            overflows += usize::from(overflow);
         }
         overflows
+    }
+
+    /// Executes the layer for the four lanes of a batch block at once.
+    /// `x` holds the lanes' input vectors back to back (lane `l` at
+    /// `[l * input_dim, (l + 1) * input_dim)`), and `out` receives their
+    /// outputs the same way. Returns each lane's overflow count.
+    ///
+    /// Lane `l` is bitwise-identical to [`Self::forward`] on that lane's
+    /// vector: each neuron pair runs as one [`dot_wide_2x4`] tile (an odd
+    /// last neuron as four [`dot_wide`]s), and every accumulator is a
+    /// wrapping `i64` sum, so the order of its products cannot change a
+    /// bit. The bias, the checked write-back and the ReLU are
+    /// [`Self::forward`]'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != 4 * self.input_dim()` or
+    /// `out.len() != 4 * self.output_dim()`.
+    pub fn forward_x4(&self, x: &[Q16_16], out: &mut [Q16_16]) -> [usize; 4] {
+        let (n, m) = (self.input_dim, self.output_dim());
+        assert_eq!(x.len(), 4 * n, "quantized layer input mismatch");
+        assert_eq!(out.len(), 4 * m, "quantized layer output mismatch");
+        let lanes: [&[Q16_16]; 4] = std::array::from_fn(|l| &x[l * n..(l + 1) * n]);
+        let mut overflows = [0; 4];
+        // Neurons in blocks of up to 16: the tiles' accumulators are staged
+        // lane-major on the stack, so each lane's write-back is one
+        // contiguous loop that vectorizes.
+        const BLOCK: usize = 16;
+        let blocks = self.weights.chunks(BLOCK * n).zip(self.bias.chunks(BLOCK));
+        for (first, (rows, bias)) in (0..).step_by(BLOCK).zip(blocks) {
+            let mut acc = [[WideAccumulator::new(); BLOCK]; 4];
+            let pairs = rows.chunks_exact(2 * n);
+            let last = pairs.remainder();
+            for (j, pair) in (0..).step_by(2).zip(pairs) {
+                let [even, odd] = dot_wide_2x4([&pair[..n], &pair[n..]], lanes);
+                for (acc, (e, o)) in acc.iter_mut().zip(even.into_iter().zip(odd)) {
+                    (acc[j], acc[j + 1]) = (e, o);
+                }
+            }
+            if !last.is_empty() {
+                for (acc, x) in acc.iter_mut().zip(lanes) {
+                    acc[bias.len() - 1] = dot_wide(last, x);
+                }
+            }
+            for (l, (acc, overflow)) in acc.iter().zip(&mut overflows).enumerate() {
+                let row = &mut out[l * m + first..][..bias.len()];
+                for ((o, &acc), &b) in row.iter_mut().zip(acc).zip(bias) {
+                    let flagged;
+                    (*o, flagged) = self.activate(acc, b);
+                    *overflow += usize::from(flagged);
+                }
+            }
+        }
+        overflows
+    }
+
+    /// One neuron's write-back: the bias joins the accumulator, which is
+    /// renormalized (saturating, and reported, on overflow) and passed
+    /// through the ReLU. Returns the activation and whether it overflowed.
+    #[inline]
+    fn activate(&self, mut acc: WideAccumulator, bias: Q16_16) -> (Q16_16, bool) {
+        acc.merge(WideAccumulator::from_fixed(bias));
+        let (v, overflow) = acc.to_fixed_flagged();
+        (if self.relu { v.relu() } else { v }, overflow)
     }
 }
 

@@ -3,8 +3,11 @@
 use klinq_fpga::latency::{adder_tree_stages, avg_norm_stages, ceil_log2, network_stages};
 use klinq_fpga::quant::{quantize_vec, QuantizedDense};
 use klinq_fpga::resources::{avg_norm_resources, mf_resources, network_resources};
+use klinq_fixed::Q16_16;
 use klinq_nn::{Activation, Dense, Matrix};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 proptest! {
     #[test]
@@ -89,6 +92,36 @@ proptest! {
         q.forward(&quantize_vec(&input), &mut out);
         for v in out {
             prop_assert!(!v.is_negative());
+        }
+    }
+
+    /// The four-lane layer kernel equals the per-lane `forward`, bit for
+    /// bit: every output and every lane's overflow count, over input
+    /// widths 1–210, odd and even output widths, and values up to
+    /// ±30000, so the wide accumulators overflow and wrap.
+    #[test]
+    fn forward_x4_matches_forward_per_lane(
+        n in 1usize..=210,
+        width in 0usize..5,
+        relu in prop::bool::ANY,
+        seed in any::<u64>()
+    ) {
+        let m = [1, 3, 5, 8, 16][width];
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Magnitudes from one ulp-ish to 30000, both signs.
+        let mut value = || rng.gen_range(-30000.0f32..30000.0) / (1u32 << rng.gen_range(0..24u32)) as f32;
+        let weights = Matrix::from_vec(m, n, (0..m * n).map(|_| value()).collect());
+        let bias = (0..m).map(|_| value()).collect();
+        let activation = if relu { Activation::Relu } else { Activation::Identity };
+        let layer = QuantizedDense::from_dense(&Dense::from_parts(weights, bias, activation));
+        let x: Vec<Q16_16> = (0..4 * n).map(|_| Q16_16::from_f32(value())).collect();
+        let mut out = vec![Q16_16::ZERO; 4 * m];
+        let overflows = layer.forward_x4(&x, &mut out);
+        for l in 0..4 {
+            let mut want = vec![Q16_16::ZERO; m];
+            let want_overflows = layer.forward(&x[l * n..(l + 1) * n], &mut want);
+            prop_assert_eq!(&out[l * m..(l + 1) * m], &want[..], "lane {} of {}x{}", l, n, m);
+            prop_assert_eq!(overflows[l], want_overflows, "lane {} of {}x{}", l, n, m);
         }
     }
 }

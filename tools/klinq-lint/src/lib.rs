@@ -17,7 +17,7 @@
 //! | `no-panic-serve` | no `unwrap`/`expect`/panic-family macros/indexing `assert!` in `crates/klinq-serve/src` or the shot block its wire decoder fills (`klinq_core::block`), outside `#[cfg(test)]` |
 //! | `unsafe-confinement` | `unsafe` only in `vendor/epoll` + `klinq_fixed::q16`, each block under a `// SAFETY:` comment; every other first-party crate root carries `#![forbid(unsafe_code)]` |
 //! | `stat-floor-locality` | fidelity/accuracy threshold literals live in `klinq_core::stat_floors`, nowhere else |
-//! | `determinism` | no `Instant::now`/`SystemTime::now`/`thread_rng`-style ambient nondeterminism in the wire codec, shot blocks, batch engine, fixed-point, DSP kernels, or persist |
+//! | `determinism` | no `Instant::now`/`SystemTime::now`/`thread_rng`-style ambient nondeterminism in the wire codec, shot blocks, batch engine, fixed-point, DSP kernels, the Q16.16 datapath (`klinq_fpga::engine`, `klinq_fpga::quant`), or persist |
 //! | `lossy-cast` | no `as_f64(...) as u64`-shaped narrowing of parsed values (the benchdiff PoolSize bug class) |
 //!
 //! A deliberate exception is annotated in the source it excuses:
@@ -525,14 +525,18 @@ fn rule_stat_floor_locality(ctx: &FileInfo<'_>, out: &mut Vec<Finding>) {
 /// Modules that must stay free of ambient nondeterminism: the wire
 /// codec (frames must encode identically), the shot block and the batch
 /// engine (served must equal direct, bitwise), fixed-point and DSP
-/// kernels (bitwise-equivalence oracles), and persist encode/decode
-/// (load-then-predict must equal train-then-predict).
+/// kernels and the Q16.16 datapath built on them (bitwise-equivalence
+/// oracles: each batched lane must equal the per-shot inference), and
+/// persist encode/decode (load-then-predict must equal
+/// train-then-predict).
 fn determinism_scope(path: &str) -> bool {
     path == "crates/klinq-serve/src/wire/codec.rs"
         || path == "crates/klinq-core/src/block.rs"
         || path == "crates/klinq-core/src/batch.rs"
         || path.starts_with("crates/klinq-fixed/src/")
         || path.starts_with("crates/klinq-dsp/src/")
+        || path == "crates/klinq-fpga/src/engine.rs"
+        || path == "crates/klinq-fpga/src/quant.rs"
         || path == "crates/klinq-core/src/persist.rs"
 }
 
