@@ -232,6 +232,7 @@ impl FpgaDiscriminator {
     ) -> InferenceDetail {
         assert_eq!(i.len(), q.len(), "I and Q traces must have equal length");
         let m = self.outputs_per_channel;
+        let dim = self.input_dim();
 
         // ADC quantization of the raw samples.
         scratch.i_q.clear();
@@ -241,9 +242,8 @@ impl FpgaDiscriminator {
 
         // Averaging unit: adder tree per group, then shift (power-of-two
         // group) or reciprocal multiply.
-        scratch.features.clear();
-        scratch.features.resize(2 * m + 1, Q16_16::ZERO);
-        let (avg_i, rest) = scratch.features.split_at_mut(m);
+        let features = grown(&mut scratch.features, dim);
+        let (avg_i, rest) = features.split_at_mut(m);
         let (avg_q, mf_slot) = rest.split_at_mut(m);
         self.average_into(&scratch.i_q, avg_i);
         self.average_into(&scratch.q_q, avg_q);
@@ -256,24 +256,21 @@ impl FpgaDiscriminator {
         mf_slot[0] = mf_acc.to_fixed_saturating();
 
         // Shift normalization: (x − min) >> e.
-        for ((f, &mn), &e) in scratch
-            .features
-            .iter_mut()
-            .zip(&self.norm_min)
-            .zip(&self.norm_exp)
-        {
+        for ((f, &mn), &e) in features.iter_mut().zip(&self.norm_min).zip(&self.norm_exp) {
             *f = normalized(*f, mn, e);
         }
 
-        // Fully connected pipeline, ping-ponging the two scratch buffers.
+        // Fully connected pipeline, ping-ponging the two scratch buffers;
+        // each layer reads only its input width of the buffer before it.
+        let (mut x, mut next) = (&mut scratch.features, &mut scratch.work);
+        let mut width = dim;
         let mut overflow_count = 0;
         for layer in &self.layers {
-            scratch.work.clear();
-            scratch.work.resize(layer.output_dim(), Q16_16::ZERO);
-            overflow_count += layer.forward(&scratch.features, &mut scratch.work);
-            std::mem::swap(&mut scratch.features, &mut scratch.work);
+            overflow_count += layer.forward(&x[..width], grown(next, layer.output_dim()));
+            std::mem::swap(&mut x, &mut next);
+            width = layer.output_dim();
         }
-        detail(scratch.features[0], overflow_count)
+        detail(x[0], overflow_count)
     }
 
     /// Runs one inference per lane of a gathered [`TraceBatch`] — the
@@ -623,6 +620,34 @@ mod tests {
             hw.infer_with(&ground[0].0[..72], &ground[0].1[..72], &mut scratch),
             hw.infer(&ground[0].0[..72], &ground[0].1[..72])
         );
+    }
+
+    #[test]
+    fn one_scratch_serves_designs_of_different_widths() {
+        // The serving path runs FNN-A (31 features) and FNN-B (201) qubits
+        // through one scratch. Its buffers keep their widest size, so each
+        // design must read only its own widths of them.
+        let (net_a, pipeline_a, ground, excited) = trained_setup();
+        let hw_a = FpgaDiscriminator::compile(&net_a, &pipeline_a, 120).unwrap();
+        let g: Vec<(&[f32], &[f32])> = ground.iter().map(|(i, q)| (&i[..], &q[..])).collect();
+        let e: Vec<(&[f32], &[f32])> = excited.iter().map(|(i, q)| (&i[..], &q[..])).collect();
+        let pipeline_b = FeaturePipeline::fit(FeatureSpec::fnn_b(), &g, &e).unwrap();
+        let net_b = FnnBuilder::new(FeatureSpec::fnn_b().input_dim())
+            .hidden(16, Activation::Relu)
+            .hidden(8, Activation::Relu)
+            .output(1)
+            .seed(9)
+            .build();
+        let hw_b = FpgaDiscriminator::compile(&net_b, &pipeline_b, 120).unwrap();
+        let mut scratch = HwScratch::new();
+        for (i, q) in ground.iter().chain(&excited) {
+            for hw in [&hw_b, &hw_a] {
+                assert_eq!(
+                    hw.infer_detailed_with(i, q, &mut scratch),
+                    hw.infer_detailed(i, q)
+                );
+            }
+        }
     }
 
     /// Runs one block through `infer_batch_with` and asserts every lane

@@ -34,7 +34,8 @@
 //!   [`ServeError::Overloaded`] instead of queueing unboundedly — and
 //!   [`Priority::Latency`] requests close their micro-batch immediately
 //!   instead of waiting out the linger window tuned for throughput
-//!   traffic.
+//!   traffic, and are answered ahead of its throughput requests; one
+//!   that arrives while those run cuts in at the next slice boundary.
 //! - **Multi-tenant QoS** ([`sched`]): requests carry a [`TenantId`];
 //!   intake is per-tenant bounded queues drained by deficit-round-robin
 //!   weighted fair queueing ([`SchedPolicy`]), per-tenant quotas shed as

@@ -122,7 +122,9 @@ metrics! {
             requests: u64 = sum,
             /// Shots classified.
             shots: u64 = sum,
-            /// Micro-batches executed.
+            /// Micro-batches executed (closes), each counted once however
+            /// many engine calls it ran in. A latency cut-in served between
+            /// two slices of a close is a close of its own.
             batches: u64 = sum,
             /// Largest micro-batch, in shots.
             largest_batch: u64 = max,

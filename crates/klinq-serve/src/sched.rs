@@ -250,7 +250,8 @@ pub(crate) struct QueuedItem<T> {
     pub cost: usize,
     /// Absolute deadline, if the request carries one.
     pub deadline: Option<Instant>,
-    /// [`Priority::Latency`] — closes the batch it joins immediately.
+    /// [`Priority::Latency`] — closes the batch it joins immediately,
+    /// and is answered ahead of that batch's throughput requests.
     pub latency: bool,
     pub payload: T,
 }
@@ -410,22 +411,11 @@ impl<T> Scheduler<T> {
     /// by at most one request.
     ///
     /// When latency-lane requests are queued, they — and their
-    /// same-tenant FIFO predecessors — are force-included first (still
-    /// charged against the tenant's deficit, so the latency lane is not
-    /// a fairness bypass), then DRR fills the remaining budget.
+    /// same-tenant FIFO predecessors — are force-included first
+    /// ([`Self::take_latency`]), then DRR fills the remaining budget.
     pub fn assemble(&mut self, budget: usize) -> Vec<(usize, QueuedItem<T>)> {
-        let mut out = Vec::new();
-        let mut shots = 0usize;
-        if self.latency_queued > 0 {
-            for ti in 0..self.tenants.len() {
-                while self.tenant_has_latency(ti) {
-                    // klinq-lint: allow(no-panic-serve) tenant_has_latency just confirmed a queued latency request
-                    let item = self.pop_front(ti).expect("latency request is queued");
-                    shots += item.cost;
-                    out.push((ti, item));
-                }
-            }
-        }
+        let mut out = self.take_latency();
+        let mut shots: usize = out.iter().map(|(_, item)| item.cost).sum();
         let n = self.tenants.len();
         while shots < budget && self.queued_requests > 0 {
             // Skip to the next backlogged tenant. Terminates:
@@ -458,6 +448,27 @@ impl<T> Scheduler<T> {
                 }
                 self.mid_visit = false;
                 self.cursor = (self.cursor + 1) % n;
+            }
+        }
+        out
+    }
+
+    /// Dequeues every queued latency-lane request together with its
+    /// same-tenant FIFO predecessors, tenant by tenant, and nothing
+    /// else. The predecessors ride along because each tenant's queue is
+    /// FIFO; every request is still charged against its tenant's
+    /// deficit, so the latency lane is not a fairness bypass. This is
+    /// the head of every [`Self::assemble`], and the whole of a cut-in
+    /// that the collector serves between two slices of a running close.
+    pub fn take_latency(&mut self) -> Vec<(usize, QueuedItem<T>)> {
+        let mut out = Vec::new();
+        if self.latency_queued > 0 {
+            for ti in 0..self.tenants.len() {
+                while self.tenant_has_latency(ti) {
+                    // klinq-lint: allow(no-panic-serve) tenant_has_latency just confirmed a queued latency request
+                    let item = self.pop_front(ti).expect("latency request is queued");
+                    out.push((ti, item));
+                }
             }
         }
         out
@@ -646,6 +657,39 @@ mod tests {
             "latency request missing from the expedited batch"
         );
         assert!(!s.has_latency());
+    }
+
+    #[test]
+    fn take_latency_dequeues_latency_requests_and_their_predecessors_only() {
+        // Tenant 0 queues bulk work only; tenant 1 queues bulk, a latency
+        // request, then more bulk. The cut-in takes tenant 1's head up to
+        // and including its latency request, charged to its deficit, and
+        // leaves everything else queued in order.
+        let mut s = Scheduler::new(&policy(&[("bulk", 1, usize::MAX), ("rt", 1, usize::MAX)]));
+        let queued = [(0, 64, 1), (0, 64, 2), (1, 4, 3), (1, 1, 4), (1, 8, 5)];
+        for (tenant, cost, payload) in queued {
+            let mut it = item(cost);
+            it.payload = payload;
+            it.latency = payload == 4;
+            s.admit(tenant, it).unwrap();
+        }
+        let cut_in = s.take_latency();
+        let taken: Vec<(usize, u32)> = cut_in.iter().map(|(ti, it)| (*ti, it.payload)).collect();
+        assert_eq!(taken, vec![(1, 3), (1, 4)]);
+        assert!(!s.has_latency());
+        assert_eq!(s.tenants[1].deficit, -5);
+        assert_eq!(s.queued_shots(), 64 + 64 + 8);
+        assert!(
+            s.take_latency().is_empty(),
+            "no latency request left to take"
+        );
+        // DRR serves what is left, FIFO within each tenant.
+        let rest: Vec<(usize, u32)> = s
+            .assemble(usize::MAX)
+            .iter()
+            .map(|(ti, it)| (*ti, it.payload))
+            .collect();
+        assert_eq!(rest, vec![(0, 1), (1, 5), (0, 2)]);
     }
 
     #[test]

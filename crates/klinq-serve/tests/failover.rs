@@ -481,6 +481,94 @@ fn transient_batch_panics_are_correctness_transparent() {
     server.shutdown();
 }
 
+/// Cut-ins under transient crash faults. Latency request L1 closes a
+/// lingering batch of three 128-shot bulk requests (one slice each), and
+/// L1's reply callback submits latency request L2, which cuts in after
+/// the first bulk slice. Every engine call — L1's, each slice, the
+/// cut-in — draws a 50% panic, and a panicked call replays only its own
+/// requests solo. Every request is answered exactly once, bitwise equal
+/// to direct classification and in cut-in order, and no request that an
+/// earlier slice answered is classified again.
+#[test]
+fn cut_ins_under_batch_panics_answer_every_request_once() {
+    let sys = system();
+    let pool = sys.test_data().shots();
+    let bulk: Vec<Vec<klinq_sim::Shot>> = (0..3)
+        .map(|r| {
+            pool.iter()
+                .cycle()
+                .skip(100 * r)
+                .take(128)
+                .cloned()
+                .collect()
+        })
+        .collect();
+    let l1 = pool[5..6].to_vec();
+    let l2 = pool[9..11].to_vec();
+    let server = klinq_serve::ReadoutServer::start(
+        system(),
+        ServeConfig {
+            max_batch_shots: 4 * 128,
+            max_linger: Duration::from_secs(60),
+            crash: Some(CrashFaults::new(0x0C07_1B5E).batch_panics(50)),
+            ..ServeConfig::default()
+        },
+    );
+    let client = server.client();
+    let rounds = 4;
+    for round in 0..rounds {
+        let (tx, rx) = mpsc::channel();
+        let answer = |tag: &'static str| {
+            let tx = tx.clone();
+            move |result: Result<Vec<ShotStates>, ServeError>| {
+                let _ = tx.send((tag, result));
+            }
+        };
+        for (tag, shots) in ["B1", "B2", "B3"].into_iter().zip(&bulk) {
+            client
+                .submit_opts(RequestOptions::new(), shots.clone(), answer(tag))
+                .expect("admitted");
+        }
+        let latency = RequestOptions::new().priority(klinq_serve::Priority::Latency);
+        let (on_l1, on_l2) = (answer("L1"), answer("L2"));
+        let (chained, l2_shots) = (client.clone(), l2.clone());
+        client
+            .submit_opts(latency, l1.clone(), move |result| {
+                on_l1(result);
+                chained
+                    .submit_opts(latency, l2_shots, on_l2)
+                    .expect("L2 admitted");
+            })
+            .expect("L1 admitted");
+        drop(tx);
+        let mut order = Vec::new();
+        while let Ok((tag, result)) = rx.recv_timeout(Duration::from_secs(60)) {
+            let shots = match tag {
+                "L1" => &l1,
+                "L2" => &l2,
+                _ => &bulk[usize::from(tag.as_bytes()[1] - b'1')],
+            };
+            assert_eq!(
+                result.expect("a transient panic is replayed, never answered typed"),
+                direct(&sys, shots),
+                "round {round}: {tag}"
+            );
+            order.push(tag);
+        }
+        // Every callback has run (the channel disconnected), each once.
+        assert_eq!(order, ["L1", "B1", "L2", "B2", "B3"], "round {round}");
+    }
+    let stats = server.shutdown();
+    assert!(stats.panics > 0, "no transient panic fired: {stats:?}");
+    assert_eq!(stats.poisoned, 0, "{stats:?}");
+    assert_eq!(stats.requests, 5 * rounds, "{stats:?}");
+    // A replay that reached back into an earlier slice would classify
+    // its requests twice.
+    let per_round = bulk.iter().map(Vec::len).sum::<usize>() + l1.len() + l2.len();
+    assert_eq!(stats.shots, rounds * per_round as u64, "{stats:?}");
+    assert_eq!(stats.batches, 2 * rounds, "{stats:?}");
+}
+
 /// XORs the low bit of the `nth` `"checksum"` field in a serialized
 /// artifact, corrupting exactly that device's integrity seal. (The
 /// bundle envelope carries no checksum of its own — integrity is

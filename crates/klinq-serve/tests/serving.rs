@@ -284,6 +284,95 @@ fn latency_arrival_closes_a_lingering_batch() {
     assert_eq!(stats.latency_requests, 1);
 }
 
+/// Latency request L1 closes a lingering batch of three 128-shot bulk
+/// requests (128 shots is the collector's slice floor, so each is a
+/// slice of its own), and L1's reply callback submits latency request
+/// L2. Callbacks run on the collector, so L2 waits in intake before the
+/// first bulk slice starts: it must be served at the boundary after
+/// that slice, as a close of its own, not behind the whole batch. No
+/// sleep or timer decides the order.
+#[test]
+fn latency_arrival_mid_close_cuts_in_at_the_next_slice() {
+    let sys = system();
+    let pool = sys.test_data().shots();
+    let bulk: Vec<Vec<Shot>> = (0..3)
+        .map(|r| {
+            pool.iter()
+                .cycle()
+                .skip(100 * r)
+                .take(128)
+                .cloned()
+                .collect()
+        })
+        .collect();
+    let l1 = pool[5..6].to_vec();
+    let l2 = pool[9..11].to_vec();
+    let engine = BatchDiscriminator::new(sys.discriminators());
+    for backend in Backend::ALL {
+        // Only a latency arrival closes the batch: the budget exceeds the
+        // bulk total and the linger is a minute.
+        let server = ReadoutServer::start(
+            system(),
+            ServeConfig {
+                backend,
+                max_batch_shots: 4 * 128,
+                max_linger: Duration::from_secs(60),
+                ..ServeConfig::default()
+            },
+        );
+        let client = server.client();
+        let (tx, rx) = mpsc::channel();
+        let answer = |tag: &'static str| {
+            let tx = tx.clone();
+            move |result: Result<Vec<ShotStates>, ServeError>| {
+                let _ = tx.send((tag, result));
+            }
+        };
+        for (tag, shots) in ["B1", "B2", "B3"].into_iter().zip(&bulk) {
+            client
+                .submit_opts(RequestOptions::new(), shots.clone(), answer(tag))
+                .expect("admitted");
+        }
+        let latency = RequestOptions::new().priority(Priority::Latency);
+        let (on_l1, on_l2) = (answer("L1"), answer("L2"));
+        let (chained, l2_shots) = (client.clone(), l2.clone());
+        client
+            .submit_opts(latency, l1.clone(), move |result| {
+                on_l1(result);
+                chained
+                    .submit_opts(latency, l2_shots, on_l2)
+                    .expect("L2 admitted");
+            })
+            .expect("L1 admitted");
+        let mut order = Vec::new();
+        for _ in 0..5 {
+            let (tag, result) = rx.recv_timeout(Duration::from_secs(60)).expect("answered");
+            let shots = match tag {
+                "L1" => &l1,
+                "L2" => &l2,
+                _ => &bulk[usize::from(tag.as_bytes()[1] - b'1')],
+            };
+            assert_eq!(
+                result.expect("served"),
+                engine.classify_shots_on(backend, shots),
+                "{tag} on {backend}"
+            );
+            order.push(tag);
+        }
+        assert_eq!(
+            order,
+            ["L1", "B1", "L2", "B2", "B3"],
+            "reply order on {backend}"
+        );
+        let stats = server.shutdown();
+        // The cut-in is a close of its own: two closes, both expedited.
+        assert_eq!(stats.batches, 2, "{stats:?}");
+        assert_eq!(stats.expedited_batches, 2, "{stats:?}");
+        assert_eq!(stats.latency_requests, 2, "{stats:?}");
+        assert_eq!(stats.largest_batch, 3 * 128 + 1, "{stats:?}");
+    }
+}
+
 #[test]
 fn full_intake_queue_sheds_with_overloaded() {
     let sys = system();
@@ -509,6 +598,27 @@ fn planned_requests(sys: &KlinqSystem, plans: &[RequestPlan]) -> Vec<Vec<Shot>> 
         .collect()
 }
 
+/// Two to six throughput requests of 1–200 shots each.
+fn bulk_plans() -> impl proptest::Strategy<Value = Vec<RequestPlan>> {
+    proptest::collection::vec((1usize..201, 0usize..10_000, 0usize..4, 0.0f64..1.0), 2..7)
+}
+
+/// One to four latency requests of 1–4 shots each, each with a seed that
+/// picks the earlier request from whose reply callback it is submitted
+/// (the first one is submitted directly).
+fn latency_plans() -> impl proptest::Strategy<Value = Vec<(RequestPlan, usize)>> {
+    proptest::collection::vec(
+        (
+            (1usize..5, 0usize..10_000, 0usize..4, 0.0f64..1.0),
+            0usize..10_000,
+        ),
+        1..5,
+    )
+}
+
+/// A reply callback, boxed so callbacks can be chained inside each other.
+type Callback = Box<dyn FnOnce(Result<Vec<ShotStates>, ServeError>) + Send>;
+
 /// What a calibration request adds to `calib_prepared_excited`,
 /// `calib_false_excited` and `calib_false_ground`, per qubit.
 fn calibration_counts(shots: &[Shot], states: &[ShotStates]) -> [[u64; 5]; 3] {
@@ -579,6 +689,90 @@ proptest::proptest! {
                 [stats.calib_prepared_excited, stats.calib_false_excited, stats.calib_false_ground],
                 calibration_counts(&calib, &calib_states)
             );
+        }
+    }
+
+    #[test]
+    fn latency_arrivals_during_bulk_work_match_direct(
+        bulk in bulk_plans(),
+        latency in latency_plans(),
+    ) {
+        // The throughput requests and the first latency request share one
+        // close: only a latency arrival closes it (unbounded budget, a
+        // minute's linger), so its throughput part runs in slices. Every
+        // further latency request is submitted from the reply callback of
+        // an earlier request — on the collector, between two slices — so
+        // it cuts in, or closes a batch of its own once the slices are
+        // done. Every request must be answered exactly once, with exactly
+        // its own direct classification.
+        let sys = system();
+        let mut requests = planned_requests(&sys, &bulk);
+        let n_bulk = requests.len();
+        let plans: Vec<RequestPlan> = latency.iter().map(|&(plan, _)| plan).collect();
+        requests.extend(planned_requests(&sys, &plans));
+        // Request `n_bulk + k` is latency request `k`; for `k ≥ 1`, the
+        // request whose callback submits it.
+        let parent = |r: usize| latency[r - n_bulk].1 % r;
+        for backend in Backend::ALL {
+            let engine = BatchDiscriminator::new(sys.discriminators());
+            let server = ReadoutServer::start(
+                system(),
+                ServeConfig {
+                    backend,
+                    max_batch_shots: usize::MAX,
+                    max_linger: Duration::from_secs(60),
+                    ..ServeConfig::default()
+                },
+            );
+            let client = server.client();
+            let (tx, rx) = mpsc::channel();
+            // Built last to first: a chained request's callback exists
+            // before its parent's, which submits it.
+            let mut callbacks: Vec<Option<Callback>> = requests.iter().map(|_| None).collect();
+            for r in (0..requests.len()).rev() {
+                let children: Vec<(Vec<Shot>, Callback)> = (r + 1..requests.len())
+                    .filter(|&c| c > n_bulk && parent(c) == r)
+                    .filter_map(|c| Some((requests[c].clone(), callbacks[c].take()?)))
+                    .collect();
+                let (tx, client) = (tx.clone(), client.clone());
+                callbacks[r] = Some(Box::new(move |result| {
+                    let _ = tx.send((r, result));
+                    for (shots, callback) in children {
+                        client
+                            .submit_opts(RequestOptions::new().priority(Priority::Latency), shots, callback)
+                            .expect("chained latency request admitted");
+                    }
+                }));
+            }
+            for (r, callback) in callbacks.iter_mut().enumerate().take(n_bulk + 1) {
+                let priority = if r < n_bulk { Priority::Throughput } else { Priority::Latency };
+                let callback = callback.take().expect("every callback was built");
+                client
+                    .submit_opts(RequestOptions::new().priority(priority), requests[r].clone(), callback)
+                    .expect("admitted");
+            }
+            let mut answered = vec![false; requests.len()];
+            for _ in &requests {
+                let (r, result) = rx.recv_timeout(Duration::from_secs(60)).expect("answered");
+                proptest::prop_assert!(!answered[r], "request {} answered twice on {}", r, backend);
+                answered[r] = true;
+                proptest::prop_assert_eq!(
+                    result.expect("served"),
+                    engine.classify_shots_on(backend, &requests[r]),
+                    "request {} on {}",
+                    r,
+                    backend
+                );
+            }
+            let stats = server.shutdown();
+            proptest::prop_assert!(rx.try_recv().is_err(), "an extra answer arrived on {}", backend);
+            proptest::prop_assert_eq!(stats.requests, requests.len() as u64);
+            proptest::prop_assert_eq!(stats.shots, requests.iter().map(Vec::len).sum::<usize>() as u64);
+            proptest::prop_assert_eq!(stats.latency_requests, latency.len() as u64);
+            // Every close held a latency request: the first one, the
+            // cut-ins, and any chained request that arrived after the
+            // last slice.
+            proptest::prop_assert_eq!(stats.expedited_batches, stats.batches, "{:?}", stats);
         }
     }
 }

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
-use std::sync::{Arc, OnceLock};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// The shared smoke system (disk-cached across the workspace's test
@@ -374,6 +374,27 @@ fn planned_requests(sys: &KlinqSystem, plans: &[RequestPlan]) -> Vec<Vec<Shot>> 
         .collect()
 }
 
+/// Two to six throughput requests of 1–200 shots each.
+fn bulk_plans() -> impl proptest::Strategy<Value = Vec<RequestPlan>> {
+    proptest::collection::vec((1usize..201, 0usize..10_000, 0usize..4, 0.0f64..1.0), 2..7)
+}
+
+/// One to four latency requests of 1–4 shots each, each with a seed that
+/// picks the earlier latency request from whose reply callback it is
+/// submitted (the first one is submitted directly).
+fn latency_plans() -> impl proptest::Strategy<Value = Vec<(RequestPlan, usize)>> {
+    proptest::collection::vec(
+        (
+            (1usize..5, 0usize..10_000, 0usize..4, 0.0f64..1.0),
+            0usize..10_000,
+        ),
+        1..5,
+    )
+}
+
+/// A reply callback, boxed so callbacks can be chained inside each other.
+type Callback = Box<dyn FnOnce(Result<Vec<ShotStates>, ServeError>) + Send>;
+
 /// What a calibration request adds to `calib_prepared_excited`,
 /// `calib_false_excited` and `calib_false_ground`, per qubit.
 fn calibration_counts(shots: &[Shot], states: &[ShotStates]) -> [[u64; 5]; 3] {
@@ -452,6 +473,113 @@ proptest::proptest! {
                 [stats.calib_prepared_excited, stats.calib_false_excited, stats.calib_false_ground],
                 calibration_counts(&calib, &calib_states)
             );
+        }
+    }
+
+    #[test]
+    fn wire_bulk_with_latency_cut_ins_matches_direct(
+        bulk in bulk_plans(),
+        latency in latency_plans(),
+    ) {
+        // Pipelined wire requests, each decoded from its frame into a
+        // block, linger in one batch (unbounded budget, a minute's linger)
+        // until an in-process latency request closes it, so their close
+        // runs in slices. Every further latency request is submitted from
+        // the reply callback of an earlier one, on the collector, so it
+        // cuts in between the wire requests' slices. Every answer must be
+        // exactly its own request's direct classification.
+        let sys = system();
+        let bulk_requests = planned_requests(&sys, &bulk);
+        let bulk_shots: usize = bulk_requests.iter().map(Vec::len).sum();
+        let plans: Vec<RequestPlan> = latency.iter().map(|&(plan, _)| plan).collect();
+        let latency_requests = planned_requests(&sys, &plans);
+        // For latency request `k ≥ 1`, the latency request whose callback
+        // submits it.
+        let parent = |k: usize| latency[k].1 % k;
+        for backend in Backend::ALL {
+            let engine = BatchDiscriminator::new(sys.discriminators());
+            let fleet = ShardedReadoutServer::start(
+                vec![system()],
+                ServeConfig {
+                    backend,
+                    max_batch_shots: usize::MAX,
+                    max_linger: Duration::from_secs(60),
+                    ..ServeConfig::default()
+                },
+            );
+            let server = WireServer::start_with(
+                &fleet,
+                TcpListener::bind("127.0.0.1:0").expect("bind loopback"),
+                no_reap(),
+            )
+            .expect("start wire server");
+            let mut client = WireClient::connect(server.local_addr(), 0).expect("connect loopback");
+            client.set_read_timeout(Some(Duration::from_secs(60))).expect("set read timeout");
+            let ids: Vec<u64> = bulk_requests
+                .iter()
+                .map(|shots| client.submit_opts(RequestOptions::new(), shots).expect("submitted"))
+                .collect();
+            // Every wire request is queued before the first latency request
+            // closes the batch.
+            let queued_by = Instant::now() + Duration::from_secs(60);
+            while fleet.tenant_stats()[0].peak_queued_shots < bulk_shots as u64 {
+                proptest::prop_assert!(Instant::now() < queued_by, "wire requests never queued");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let in_process = fleet.client(0);
+            let lane = RequestOptions::new().priority(Priority::Latency);
+            let (tx, rx) = mpsc::channel();
+            // Built last to first: a chained request's callback exists
+            // before its parent's, which submits it.
+            let mut callbacks: Vec<Option<Callback>> = latency_requests.iter().map(|_| None).collect();
+            for k in (0..latency_requests.len()).rev() {
+                let children: Vec<(Vec<Shot>, Callback)> = (k + 1..latency_requests.len())
+                    .filter(|&c| parent(c) == k)
+                    .filter_map(|c| Some((latency_requests[c].clone(), callbacks[c].take()?)))
+                    .collect();
+                let (tx, in_process) = (tx.clone(), in_process.clone());
+                callbacks[k] = Some(Box::new(move |result| {
+                    let _ = tx.send((k, result));
+                    for (shots, callback) in children {
+                        in_process
+                            .submit_opts(lane, shots, callback)
+                            .expect("chained latency request admitted");
+                    }
+                }));
+            }
+            let first = callbacks[0].take().expect("every callback was built");
+            in_process.submit_opts(lane, latency_requests[0].clone(), first).expect("admitted");
+            let mut answers = HashMap::new();
+            for _ in &bulk_requests {
+                let (id, result) = client.recv_response().expect("answered");
+                proptest::prop_assert!(answers.insert(id, result.expect("served")).is_none());
+            }
+            for (r, (id, shots)) in ids.iter().zip(&bulk_requests).enumerate() {
+                proptest::prop_assert_eq!(
+                    &answers[id],
+                    &engine.classify_shots_on(backend, shots),
+                    "wire request {} on {}",
+                    r,
+                    backend
+                );
+            }
+            let mut answered = vec![false; latency_requests.len()];
+            for _ in &latency_requests {
+                let (k, result) = rx.recv_timeout(Duration::from_secs(60)).expect("answered");
+                proptest::prop_assert!(!answered[k], "latency request {} answered twice", k);
+                answered[k] = true;
+                proptest::prop_assert_eq!(
+                    result.expect("served"),
+                    engine.classify_shots_on(backend, &latency_requests[k]),
+                    "latency request {} on {}",
+                    k,
+                    backend
+                );
+            }
+            server.shutdown();
+            let stats = fleet.shutdown();
+            proptest::prop_assert_eq!(stats.latency_requests, latency_requests.len() as u64);
+            proptest::prop_assert_eq!(stats.expedited_batches, stats.batches, "{:?}", stats);
         }
     }
 }
