@@ -18,6 +18,7 @@ use crate::teacher::Teacher;
 use klinq_fpga::FpgaDiscriminator;
 use klinq_sim::{FiveQubitDevice, ReadoutDataset, SimConfig};
 use serde::{Deserialize, Serialize};
+use std::sync::{Arc, OnceLock};
 
 /// One qubit's complete readout discriminator: feature pipeline + distilled
 /// student + compiled FPGA datapath.
@@ -112,13 +113,30 @@ impl KlinqDiscriminator {
 
 /// The full five-qubit KLiNQ system plus the data and teachers it was
 /// built from (kept for the paper's comparisons).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The training and held-out datasets live in one lazily filled cell that
+/// clones and [`Self::with_students`] siblings share: [`Self::train`]
+/// fills it with the data it trained on, while a loaded system
+/// ([`crate::persist`]) regenerates the data from the config's seeds on
+/// the first [`Self::train_data`]/[`Self::test_data`] call. Serving only
+/// reads the discriminators, so a loaded server never generates it.
+#[derive(Debug, Clone)]
 pub struct KlinqSystem {
     discriminators: Vec<KlinqDiscriminator>,
     teachers: Vec<Teacher>,
-    train_data: ReadoutDataset,
-    test_data: ReadoutDataset,
+    datasets: Arc<OnceLock<(ReadoutDataset, ReadoutDataset)>>,
     config: ExperimentConfig,
+}
+
+/// Equal systems have equal models, configs and datasets, compared bit
+/// for bit (which regenerates either side's datasets if it has not yet).
+impl PartialEq for KlinqSystem {
+    fn eq(&self, other: &Self) -> bool {
+        self.discriminators == other.discriminators
+            && self.teachers == other.teachers
+            && self.config == other.config
+            && self.datasets() == other.datasets()
+    }
 }
 
 impl KlinqSystem {
@@ -133,7 +151,8 @@ impl KlinqSystem {
     /// pipeline fitting, dataset assembly or datapath compilation).
     pub fn train(config: &ExperimentConfig) -> Result<Self, KlinqError> {
         config.validate()?;
-        let (train_data, test_data) = Self::datasets_for(config);
+        let datasets = Self::datasets_for(config);
+        let (train_data, test_data) = &datasets;
         let teacher_extra = (config.teacher_extra_shots > 0).then(|| {
             ReadoutDataset::generate(
                 &FiveQubitDevice::paper(),
@@ -149,7 +168,6 @@ impl KlinqSystem {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..5)
                     .map(|qb| {
-                        let train_data = &train_data;
                         let teacher_extra = teacher_extra.as_ref();
                         scope.spawn(move || {
                             let teacher = Teacher::train_with_extra(
@@ -192,17 +210,17 @@ impl KlinqSystem {
         Ok(Self {
             discriminators,
             teachers,
-            train_data,
-            test_data,
+            datasets: Arc::new(OnceLock::from(datasets)),
             config: config.clone(),
         })
     }
 
     /// The training and held-out datasets an experiment configuration
     /// deterministically implies (everything stochastic derives from the
-    /// config's seeds). Used by [`Self::train`] and by artifact loading
-    /// ([`crate::persist`]), which must reproduce the exact same bits.
-    pub(crate) fn datasets_for(config: &ExperimentConfig) -> (ReadoutDataset, ReadoutDataset) {
+    /// config's seeds). Used by [`Self::train`] and, on first access, by
+    /// a loaded system ([`crate::persist`]), which must reproduce the
+    /// exact same bits.
+    fn datasets_for(config: &ExperimentConfig) -> (ReadoutDataset, ReadoutDataset) {
         let device = FiveQubitDevice::paper();
         let sim = SimConfig::with_duration_ns(config.duration_ns);
         let train_data =
@@ -212,21 +230,26 @@ impl KlinqSystem {
         (train_data, test_data)
     }
 
-    /// Reassembles a system from its saved parts (artifact loading).
+    /// Reassembles a system from its saved parts (artifact loading); the
+    /// datasets are regenerated on first access.
     pub(crate) fn from_parts(
         discriminators: Vec<KlinqDiscriminator>,
         teachers: Vec<Teacher>,
-        train_data: ReadoutDataset,
-        test_data: ReadoutDataset,
         config: ExperimentConfig,
     ) -> Self {
         Self {
             discriminators,
             teachers,
-            train_data,
-            test_data,
+            datasets: Arc::default(),
             config,
         }
+    }
+
+    /// The training and held-out datasets, generated on first call for a
+    /// loaded system.
+    fn datasets(&self) -> &(ReadoutDataset, ReadoutDataset) {
+        self.datasets
+            .get_or_init(|| Self::datasets_for(&self.config))
     }
 
     /// Per-qubit discriminators.
@@ -249,13 +272,20 @@ impl KlinqSystem {
     }
 
     /// Training dataset.
+    ///
+    /// A loaded system regenerates both datasets from its config's seeds
+    /// on the first call to this or [`Self::test_data`]: a one-time cost
+    /// (~0.1 s at smoke scale on a 2-vCPU host) of the same generation
+    /// [`Self::train`] runs. Every later call, clones and
+    /// [`Self::with_students`] siblings included, reads the same data.
     pub fn train_data(&self) -> &ReadoutDataset {
-        &self.train_data
+        &self.datasets().0
     }
 
-    /// Held-out evaluation dataset.
+    /// Held-out evaluation dataset, regenerated on first access like
+    /// [`Self::train_data`].
     pub fn test_data(&self) -> &ReadoutDataset {
-        &self.test_data
+        &self.datasets().1
     }
 
     /// The configuration the system was trained with.
@@ -281,7 +311,7 @@ impl KlinqSystem {
     /// sequential per-shot [`Self::measure_on`] calls.
     pub fn evaluate_on(&self, backend: Backend) -> FidelityReport {
         crate::batch::BatchDiscriminator::new(&self.discriminators)
-            .evaluate_on(backend, &self.test_data)
+            .evaluate_on(backend, self.test_data())
     }
 
     /// Evaluates at a shortened trace length (`samples` per channel)
@@ -296,7 +326,7 @@ impl KlinqSystem {
         FidelityReport::new(
             self.discriminators
                 .iter()
-                .map(|d| d.fidelity_on(Backend::Float, &self.test_data, samples))
+                .map(|d| d.fidelity_on(Backend::Float, self.test_data(), samples))
                 .collect(),
         )
     }
@@ -308,8 +338,9 @@ impl KlinqSystem {
     ///
     /// Returns [`KlinqError`] if any per-duration distillation fails.
     pub fn evaluate_retrained_at(&self, samples: usize) -> Result<FidelityReport, KlinqError> {
-        let samples = samples.min(self.test_data.samples());
-        if samples == self.test_data.samples() {
+        let test_data = self.test_data();
+        let samples = samples.min(test_data.samples());
+        if samples == test_data.samples() {
             // Design point: the trained students are exactly this.
             return Ok(self.evaluate_on(Backend::Float));
         }
@@ -318,9 +349,8 @@ impl KlinqSystem {
             .iter()
             .enumerate()
             .map(|(qb, s)| {
-                let labels = self.test_data.qubit_labels(qb);
-                let correct = self
-                    .test_data
+                let labels = test_data.qubit_labels(qb);
+                let correct = test_data
                     .qubit_pairs(qb)
                     .iter()
                     .zip(&labels)
@@ -343,6 +373,7 @@ impl KlinqSystem {
     ///
     /// Returns [`KlinqError`] if any distillation fails.
     pub fn students_at(&self, samples: usize) -> Result<Vec<DistilledStudent>, KlinqError> {
+        let train_data = self.train_data();
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..5)
                 .map(|qb| {
@@ -350,7 +381,7 @@ impl KlinqSystem {
                         crate::distill::distill_student_at(
                             &self.teachers[qb],
                             StudentArch::for_qubit(qb),
-                            &self.train_data,
+                            train_data,
                             samples,
                             self.config.distill,
                             &self.config.student_train,
@@ -367,9 +398,9 @@ impl KlinqSystem {
     }
 
     /// Builds a sibling system around replacement students: same teachers,
-    /// datasets and configuration, but each qubit's discriminator rebuilt
-    /// (FPGA datapath recompiled) from the given student at
-    /// `design_samples` per channel.
+    /// configuration and (shared, not copied) datasets, but each qubit's
+    /// discriminator rebuilt (FPGA datapath recompiled) from the given
+    /// student at `design_samples` per channel.
     ///
     /// This is the constructor behind live recalibration: distill
     /// candidates with [`Self::students_at`], assemble the candidate
@@ -403,8 +434,7 @@ impl KlinqSystem {
         Ok(Self {
             discriminators,
             teachers: self.teachers.clone(),
-            train_data: self.train_data.clone(),
-            test_data: self.test_data.clone(),
+            datasets: Arc::clone(&self.datasets),
             config: self.config.clone(),
         })
     }
@@ -414,7 +444,7 @@ impl KlinqSystem {
         FidelityReport::new(
             self.teachers
                 .iter()
-                .map(|t| t.fidelity(&self.test_data))
+                .map(|t| t.fidelity(self.test_data()))
                 .collect(),
         )
     }
@@ -522,6 +552,73 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The shared fixture reloaded from its artifact: a system whose
+    /// datasets have not been generated yet.
+    fn reloaded() -> KlinqSystem {
+        static ARTIFACT: OnceLock<String> = OnceLock::new();
+        let json = ARTIFACT.get_or_init(|| smoke_system().to_artifact_json().unwrap());
+        KlinqSystem::from_artifact_json(json).unwrap()
+    }
+
+    fn generated(sys: &KlinqSystem) -> bool {
+        sys.datasets.get().is_some()
+    }
+
+    #[test]
+    fn loaded_system_regenerates_datasets_on_first_access_only() {
+        let sys = smoke_system();
+        let loaded = reloaded();
+        assert!(!generated(&loaded), "load generated the datasets");
+        // All a server does with a system: classify shots through the
+        // batch engine, on either backend.
+        let shots = sys.test_data().shots();
+        for backend in Backend::ALL {
+            assert_eq!(
+                crate::batch::BatchDiscriminator::new(loaded.discriminators())
+                    .classify_shots_on(backend, shots),
+                crate::batch::BatchDiscriminator::new(sys.discriminators())
+                    .classify_shots_on(backend, shots),
+            );
+        }
+        assert!(!generated(&loaded), "classifying generated the datasets");
+        // The first access regenerates the trained system's data bit for
+        // bit.
+        assert_eq!(loaded.test_data(), sys.test_data());
+        assert!(generated(&loaded));
+        assert_eq!(loaded.train_data(), sys.train_data());
+    }
+
+    #[test]
+    fn clones_and_with_students_siblings_share_one_dataset_cell() {
+        let loaded = reloaded();
+        let clone = loaded.clone();
+        let students = loaded
+            .discriminators()
+            .iter()
+            .map(|d| d.student().clone())
+            .collect();
+        let design_samples = SimConfig::with_duration_ns(loaded.config().duration_ns).samples();
+        let sibling = loaded.with_students(students, design_samples).unwrap();
+        assert!(Arc::ptr_eq(&loaded.datasets, &clone.datasets));
+        assert!(Arc::ptr_eq(&loaded.datasets, &sibling.datasets));
+        assert!(!generated(&loaded));
+        // Two threads racing the first access get the one generation.
+        let start = std::sync::Barrier::new(2);
+        let [a, b] = std::thread::scope(|scope| {
+            [&clone, &sibling]
+                .map(|sys| {
+                    let start = &start;
+                    scope.spawn(move || {
+                        start.wait();
+                        sys.test_data()
+                    })
+                })
+                .map(|h| h.join().unwrap())
+        });
+        assert!(std::ptr::eq(a, b));
+        assert!(std::ptr::eq(a, loaded.test_data()));
     }
 
     #[test]

@@ -9,11 +9,15 @@
 //! [`ExperimentConfig`] — into one versioned JSON artifact.
 //!
 //! The datasets are **not** stored: everything stochastic in generation
-//! derives from the config's seeds, so [`KlinqSystem::load`] regenerates
-//! the exact same training/held-out shots bit for bit. Combined with the
-//! exact float round-trip of the vendored JSON writer (shortest
-//! representation that parses back to the same bits), a loaded system is
-//! indistinguishable from the one that was saved:
+//! derives from the config's seeds, so a loaded system regenerates the
+//! exact same training/held-out shots bit for bit. It does so on the
+//! first [`KlinqSystem::train_data`]/[`KlinqSystem::test_data`] call,
+//! not at load: serving reads only the discriminators, so a load is one
+//! JSON parse plus its checks (~21 ms for the 1.1 MB smoke artifact on a
+//! 2-vCPU host, where regenerating the datasets costs another ~100 ms).
+//! Combined with the exact float round-trip of the vendored JSON writer
+//! (shortest representation that parses back to the same bits), a loaded
+//! system is indistinguishable from the one that was saved:
 //! `load(save(sys)).evaluate_on(b) == sys.evaluate_on(b)` exactly, for
 //! both [`Backend`](crate::Backend)s.
 //!
@@ -59,6 +63,7 @@ use crate::discriminator::{KlinqDiscriminator, KlinqSystem};
 use crate::error::KlinqError;
 use crate::experiments::ExperimentConfig;
 use crate::teacher::Teacher;
+use klinq_sim::SimConfig;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -132,8 +137,9 @@ impl KlinqSystem {
         Ok(artifact)
     }
 
-    /// Rebuilds a system from artifact JSON, regenerating the datasets
-    /// from the stored configuration's seeds.
+    /// Rebuilds a system from artifact JSON. The text is parsed once; the
+    /// datasets are regenerated from the stored configuration's seeds on
+    /// first access, not here.
     ///
     /// # Errors
     ///
@@ -142,20 +148,12 @@ impl KlinqSystem {
     /// and [`KlinqError::InvalidConfig`] if the stored configuration is
     /// unusable.
     pub fn from_artifact_json(json: &str) -> Result<Self, KlinqError> {
-        // Peek at the format marker and version through an untyped parse
-        // *before* deserializing the full artifact: older versions also
-        // differ structurally (v1 stored nested `QuantizedDense` weight
-        // rows), so a typed parse of a v1 file would die on a field-shape
-        // serde error instead of the version message this module
-        // promises.
-        peek_marker(json, FORMAT, VERSION)?;
-        let artifact: SystemArtifact =
-            serde_json::from_str(json).map_err(|e| KlinqError::Artifact(e.to_string()))?;
+        let artifact: SystemArtifact = parse_marked(json, FORMAT, VERSION)?;
         Self::from_artifact(artifact)
     }
 
-    /// Validates an already-parsed artifact and rebuilds its system,
-    /// regenerating the datasets from the stored configuration.
+    /// Validates an already-parsed artifact and rebuilds its system; the
+    /// datasets are left to be regenerated on first access.
     fn from_artifact(artifact: SystemArtifact) -> Result<Self, KlinqError> {
         // Re-checked here (not only in the top-level peek) because
         // bundle loading reaches this point with *nested* artifacts whose
@@ -207,13 +205,13 @@ impl KlinqSystem {
             }
         }
         artifact.config.validate()?;
-        let (train_data, test_data) = Self::datasets_for(&artifact.config);
         // Cross-consistency: the stored models must actually fit the
         // traces the stored config regenerates, otherwise the first
         // prediction would panic deep inside feature extraction instead
         // of load() failing with a typed error (e.g. a hand-edited
-        // `duration_ns` shorter than the fitted front ends expect).
-        let samples = test_data.samples().min(train_data.samples());
+        // `duration_ns` shorter than the fitted front ends expect). The
+        // config alone fixes the sample count the datasets will carry.
+        let samples = SimConfig::with_duration_ns(artifact.config.duration_ns).samples();
         for (qb, d) in artifact.discriminators.iter().enumerate() {
             let needed = d.student().pipeline.averager().outputs();
             if needed > samples {
@@ -236,8 +234,6 @@ impl KlinqSystem {
         Ok(Self::from_parts(
             artifact.discriminators,
             artifact.teachers,
-            train_data,
-            test_data,
             artifact.config,
         ))
     }
@@ -259,7 +255,8 @@ impl KlinqSystem {
     /// Loads a system previously written by [`Self::save`].
     ///
     /// The datasets are regenerated deterministically from the stored
-    /// configuration, so the loaded system's predictions — and its
+    /// configuration on the first [`Self::train_data`]/[`Self::test_data`]
+    /// call, not at load, so the loaded system's predictions — and its
     /// [`Self::evaluate_on`](KlinqSystem::evaluate_on) reports — are
     /// bitwise-identical to the saved one's on both backends.
     ///
@@ -291,19 +288,53 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// the vendored JSON writer emits floats in shortest exact round-trip
 /// form, so serialize → parse → serialize is byte-stable.
 fn artifact_checksum(artifact: &SystemArtifact) -> Result<u64, KlinqError> {
-    let mut scratch = artifact.clone();
-    scratch.checksum = 0;
-    let json = serde_json::to_string(&scratch).map_err(|e| KlinqError::Artifact(e.to_string()))?;
+    let json = serde_json::to_string(&Unsealed(artifact))
+        .map_err(|e| KlinqError::Artifact(e.to_string()))?;
     Ok(fnv1a(json.as_bytes()))
 }
 
-/// Checks a JSON artifact's `format`/`version` markers through an
-/// untyped parse *before* the typed deserialize: structurally old
-/// versions would otherwise die on a field-shape serde error instead of
-/// the version message this module promises.
-fn peek_marker(json: &str, want_format: &str, want_version: u32) -> Result<(), KlinqError> {
-    let peek: serde_json::Value =
+/// An artifact as its checksum covers it: serialized with the checksum
+/// field set to `0`, without deep-cloning the artifact to zero one field.
+struct Unsealed<'a>(&'a SystemArtifact);
+
+impl Serialize for Unsealed<'_> {
+    fn to_value(&self) -> serde_json::Value {
+        let mut value = self.0.to_value();
+        if let serde_json::Value::Object(fields) = &mut value {
+            for (key, field) in fields {
+                if key == "checksum" {
+                    *field = 0u64.to_value();
+                }
+            }
+        }
+        value
+    }
+}
+
+/// Parses artifact JSON once, checks its markers on the untyped value
+/// (see [`peek_marker`]), then deserializes the typed artifact from that
+/// same value.
+fn parse_marked<T: Deserialize>(
+    json: &str,
+    want_format: &str,
+    want_version: u32,
+) -> Result<T, KlinqError> {
+    let value: serde_json::Value =
         serde_json::from_str(json).map_err(|e| KlinqError::Artifact(e.to_string()))?;
+    peek_marker(&value, want_format, want_version)?;
+    serde_json::from_value(value).map_err(|e| KlinqError::Artifact(e.to_string()))
+}
+
+/// Checks a parsed artifact's `format`/`version` markers *before* the
+/// typed deserialize: older versions also differ structurally (v1 stored
+/// nested `QuantizedDense` weight rows), so a typed deserialize of a v1
+/// file would die on a field-shape serde error instead of the version
+/// message this module promises.
+fn peek_marker(
+    peek: &serde_json::Value,
+    want_format: &str,
+    want_version: u32,
+) -> Result<(), KlinqError> {
     let format = peek.get("format").and_then(|v| v.as_str()).unwrap_or("");
     if format != want_format {
         return Err(KlinqError::Artifact(format!(
@@ -355,8 +386,8 @@ pub fn device_bundle_to_json(systems: &[&KlinqSystem]) -> Result<String, KlinqEr
 }
 
 /// Rebuilds a device fleet from bundle JSON; element `i` is device `i`'s
-/// system, with its datasets regenerated exactly as [`KlinqSystem::load`]
-/// would.
+/// system, loaded exactly as [`KlinqSystem::load`] would load it (datasets
+/// regenerated on first access).
 ///
 /// # Errors
 ///
@@ -386,9 +417,7 @@ pub fn device_bundle_from_json(json: &str) -> Result<Vec<KlinqSystem>, KlinqErro
 pub fn device_bundle_from_json_quarantined(
     json: &str,
 ) -> Result<Vec<Result<KlinqSystem, KlinqError>>, KlinqError> {
-    peek_marker(json, BUNDLE_FORMAT, BUNDLE_VERSION)?;
-    let bundle: BundleArtifact =
-        serde_json::from_str(json).map_err(|e| KlinqError::Artifact(e.to_string()))?;
+    let bundle: BundleArtifact = parse_marked(json, BUNDLE_FORMAT, BUNDLE_VERSION)?;
     if bundle.devices.is_empty() {
         return Err(KlinqError::Artifact(
             "device bundle holds no devices".to_string(),
@@ -634,6 +663,22 @@ mod tests {
         let err = fleet[1].as_ref().unwrap_err();
         assert!(err.to_string().contains("device 1"), "{err}");
         assert!(err.to_string().contains("checksum mismatch"), "{err}");
+    }
+
+    #[test]
+    fn deeply_nested_artifacts_fail_typed() {
+        // 100,000 levels would overflow the stack of a reader without a
+        // nesting limit; this one stops at 128 with a parse error.
+        let deep =
+            |envelope: &str| format!("{envelope}{}{}}}", "[".repeat(100_000), "]".repeat(100_000));
+        let system = deep(r#"{"format":"klinq-system","version":3,"config":"#);
+        let err = KlinqSystem::from_artifact_json(&system).unwrap_err();
+        assert!(matches!(err, KlinqError::Artifact(_)), "{err}");
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        let bundle = deep(r#"{"format":"klinq-bundle","version":2,"devices":"#);
+        let err = device_bundle_from_json(&bundle).unwrap_err();
+        assert!(matches!(err, KlinqError::Artifact(_)), "{err}");
+        assert!(err.to_string().contains("recursion limit"), "{err}");
     }
 
     #[test]

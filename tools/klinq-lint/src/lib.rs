@@ -17,7 +17,7 @@
 //! | `no-panic-serve` | no `unwrap`/`expect`/panic-family macros/indexing `assert!` in `crates/klinq-serve/src` or the shot block its wire decoder fills (`klinq_core::block`), outside `#[cfg(test)]` |
 //! | `unsafe-confinement` | `unsafe` only in `vendor/epoll` + `klinq_fixed::q16`, each block under a `// SAFETY:` comment; every other first-party crate root carries `#![forbid(unsafe_code)]` |
 //! | `stat-floor-locality` | fidelity/accuracy threshold literals live in `klinq_core::stat_floors`, nowhere else |
-//! | `determinism` | no `Instant::now`/`SystemTime::now`/`thread_rng`-style ambient nondeterminism in the wire codec, shot blocks, batch engine, fixed-point, DSP kernels, the Q16.16 datapath (`klinq_fpga::engine`, `klinq_fpga::quant`), or persist |
+//! | `determinism` | no `Instant::now`/`SystemTime::now`/`thread_rng`-style ambient nondeterminism in the wire codec, shot blocks, batch engine, fixed-point, DSP kernels, the Q16.16 datapath (`klinq_fpga::engine`, `klinq_fpga::quant`), persist, or what a load regenerates (`klinq-sim`, `klinq_core::discriminator`) |
 //! | `lossy-cast` | no `as_f64(...) as u64`-shaped narrowing of parsed values (the benchdiff PoolSize bug class) |
 //!
 //! A deliberate exception is annotated in the source it excuses:
@@ -526,9 +526,11 @@ fn rule_stat_floor_locality(ctx: &FileInfo<'_>, out: &mut Vec<Finding>) {
 /// codec (frames must encode identically), the shot block and the batch
 /// engine (served must equal direct, bitwise), fixed-point and DSP
 /// kernels and the Q16.16 datapath built on them (bitwise-equivalence
-/// oracles: each batched lane must equal the per-shot inference), and
+/// oracles: each batched lane must equal the per-shot inference),
 /// persist encode/decode (load-then-predict must equal
-/// train-then-predict).
+/// train-then-predict), and the simulator plus the system that
+/// regenerates a loaded system's datasets from its config's seeds on
+/// first access (load-then-evaluate must equal train-then-evaluate).
 fn determinism_scope(path: &str) -> bool {
     path == "crates/klinq-serve/src/wire/codec.rs"
         || path == "crates/klinq-core/src/block.rs"
@@ -538,6 +540,8 @@ fn determinism_scope(path: &str) -> bool {
         || path == "crates/klinq-fpga/src/engine.rs"
         || path == "crates/klinq-fpga/src/quant.rs"
         || path == "crates/klinq-core/src/persist.rs"
+        || path.starts_with("crates/klinq-sim/src/")
+        || path == "crates/klinq-core/src/discriminator.rs"
 }
 
 /// Rule `determinism`: no wall-clock or entropy taps in deterministic
@@ -581,8 +585,8 @@ fn rule_determinism(ctx: &FileInfo<'_>, out: &mut Vec<Finding>) {
             line,
             format!(
             "ambient nondeterminism `{what}` in a deterministic module (wire codec / shot \
-            block / batch engine / fixed-point / DSP kernels / persist) — thread explicit \
-            seeds or timestamps in"
+            block / batch engine / fixed-point / DSP kernels / persist / simulator / \
+            system) — thread explicit seeds or timestamps in"
             ),
         );
     }
