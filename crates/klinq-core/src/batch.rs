@@ -22,8 +22,9 @@
 //! bitwise-identical to sequential [`KlinqDiscriminator::measure_on`] calls —
 //! the fused kernels keep each lane's scalar summation order (see
 //! `klinq_dsp::averaging` for the order policy), and the GEMM replays the
-//! exact single-sample order (see `Dense::forward_infer_into`). Ragged
-//! blocks (mixed trace lengths) fall back to the identical scalar path.
+//! exact single-sample order (see `Dense::forward_infer_into`). On the
+//! float backend, ragged blocks (mixed trace lengths) fall back to the
+//! identical scalar path.
 //!
 //! The engine reads any [`ShotSource`]: a `&[Shot]` slice from simulation
 //! or evaluation, a flat [`crate::ShotBlock`] decoded off the wire, or a
@@ -33,12 +34,17 @@
 //! four traces either way, and no output depends on where the source's
 //! segments begin.
 //!
-//! The bit-accurate Q16.16 datapath is batched the same way:
-//! [`BatchDiscriminator::classify_shots_on`] with [`Backend::Hardware`]
-//! gathers the same SoA blocks and runs the fused fixed-point kernel
-//! ([`klinq_fpga::FpgaDiscriminator::infer_batch_with`]) through
-//! per-worker [`klinq_fpga::HwBatchScratch`] buffers — bitwise-identical
-//! to per-shot `measure_on` because every fixed-point accumulator wraps.
+//! The bit-accurate Q16.16 datapath is batched four shots at a time
+//! too, without the gather: [`BatchDiscriminator::classify_shots_on`]
+//! with [`Backend::Hardware`] hands each quad's four `(i, q)` trace
+//! pairs straight from the source to the fixed-point kernel
+//! ([`klinq_fpga::FpgaDiscriminator::infer_quad_with`]), which runs the
+//! per-shot front end on each lane's own samples and the dense layers
+//! once per block, through per-worker [`klinq_fpga::HwBatchScratch`]
+//! buffers — bitwise-identical to per-shot `measure_on` because the
+//! front end is the per-shot one and every neuron accumulator wraps.
+//! Each lane keeps its own trace length, so ragged quads need no
+//! fallback.
 //!
 //! [`crate::KlinqSystem::evaluate_on`] routes through this engine, and the
 //! `inference` criterion bench reports its shots/sec as the repo's
@@ -74,13 +80,13 @@ struct ShotScratch {
     x: Matrix,
     /// Network ping-pong matrices for the chunked GEMM path.
     batch: BatchScratch,
-    /// Lane-interleaved SoA gather of one four-shot block (both backends).
+    /// Lane-interleaved SoA gather of one four-shot block (float path).
     traces: TraceBatch,
     /// Interleaved intermediate features of the fused float front end.
     fused: Vec<f32>,
     /// Fixed-point buffers for the per-shot Q16.16 path.
     hw: HwScratch,
-    /// Lane-interleaved fixed-point buffers for the batched Q16.16 path.
+    /// Fixed-point buffers for the four-lane Q16.16 kernel.
     hw_batch: HwBatchScratch,
 }
 
@@ -229,12 +235,15 @@ impl<'a> BatchDiscriminator<'a> {
         }
     }
 
-    /// The Q16.16 twin of [`Self::classify_chunk_into`]: the same SoA
-    /// gather feeds the fused fixed-point kernel
-    /// ([`klinq_fpga::FpgaDiscriminator::infer_batch_with`]) four shots at
-    /// a time; ragged blocks and the chunk tail take the scalar
-    /// [`klinq_fpga::FpgaDiscriminator::infer_with`] path (bitwise
-    /// identical — every fixed-point accumulator wraps).
+    /// The Q16.16 twin of [`Self::classify_chunk_into`]: each quad's four
+    /// `(i, q)` trace pairs go from the source straight to the
+    /// fixed-point kernel
+    /// ([`klinq_fpga::FpgaDiscriminator::infer_quad_with`]), which reads
+    /// every lane in place at its own length, so ragged quads need no
+    /// fallback and no SoA copy is made. The chunk tail takes the scalar
+    /// [`klinq_fpga::FpgaDiscriminator::infer_with`] path, which runs the
+    /// same front end (bitwise identical — every fixed-point accumulator
+    /// wraps).
     fn classify_chunk_hw_into<S: ShotSource + ?Sized>(
         &self,
         shots: &S,
@@ -247,16 +256,10 @@ impl<'a> BatchDiscriminator<'a> {
             let hw = d.hardware();
             let mut out_quads = out.chunks_exact_mut(4);
             for (base, out_quad) in (start..).step_by(4).zip(&mut out_quads) {
-                let traces: [(&[f32], &[f32]); 4] = std::array::from_fn(|k| shots.iq(base + k, qb));
-                if scratch.traces.gather(traces) {
-                    let details = hw.infer_batch_with(&scratch.traces, &mut scratch.hw_batch);
-                    for (states, detail) in out_quad.iter_mut().zip(details) {
-                        states[qb] = detail.excited;
-                    }
-                } else {
-                    for ((i, q), states) in traces.iter().zip(out_quad.iter_mut()) {
-                        states[qb] = hw.infer_with(i, q, &mut scratch.hw);
-                    }
+                let lanes = std::array::from_fn(|k| shots.iq(base + k, qb));
+                let details = hw.infer_quad_with(lanes, &mut scratch.hw_batch);
+                for (states, detail) in out_quad.iter_mut().zip(details) {
+                    states[qb] = detail.excited;
                 }
             }
             for (shot, states) in (tail_start..).zip(out_quads.into_remainder()) {
@@ -298,10 +301,11 @@ impl<'a> BatchDiscriminator<'a> {
     /// scheduling or of where the source's segments begin, and every
     /// value is bitwise-identical to [`Self::classify_shot_on`] (and
     /// therefore to sequential [`KlinqDiscriminator::measure_on`]) on that
-    /// shot. Both backends gather four-shot SoA blocks into per-worker
-    /// scratch and run the fused cache-blocked kernels — the float
-    /// backend finishing each chunk with one register-blocked GEMM per
-    /// qubit, the Q16.16 backend with the fused fixed-point datapath —
+    /// shot. Both backends run four-shot blocks through per-worker
+    /// scratch — the float backend gathering each into an SoA block for
+    /// the fused front end and finishing each chunk with one
+    /// register-blocked GEMM per qubit, the Q16.16 backend reading each
+    /// lane in place through the four-lane fixed-point kernel —
     /// allocation-free after warmup.
     pub fn classify_shots_on<S: ShotSource + ?Sized>(
         &self,
@@ -442,11 +446,12 @@ mod tests {
     #[test]
     fn ragged_trace_lengths_fall_back_to_the_scalar_path_bitwise() {
         let sys = smoke_system();
-        // Chunk size 6 ⇒ one gathered quad plus a 2-shot tail per chunk.
+        // Chunk size 6 ⇒ one quad plus a 2-shot tail per chunk.
         let batch = BatchDiscriminator::new(sys.discriminators()).with_chunk_size(6);
-        // Truncate every third shot so some SoA gathers see mixed trace
-        // lengths and must reject the block (the fallback is exact, so
-        // predictions still match the per-shot path everywhere).
+        // Truncate every third shot so some quads mix trace lengths: the
+        // float path's SoA gather rejects them and falls back to the
+        // scalar path, the Q16.16 kernel runs each lane at its own
+        // length; predictions must match the per-shot path everywhere.
         let mut shots: Vec<Shot> = sys.test_data().shots()[..26].to_vec();
         let keep = sys.test_data().samples() * 3 / 4;
         for shot in shots.iter_mut().skip(1).step_by(3) {
@@ -474,7 +479,8 @@ mod tests {
         // Requests of 1, 3, 2, 5 and 7 shots, plus one (after the second)
         // whose shots are truncated to three different lengths: quads
         // straddle request boundaries, and every quad touching the
-        // truncated request is ragged and takes the scalar fallback.
+        // truncated request is ragged (the float path's scalar fallback,
+        // the Q16.16 kernel's per-lane lengths).
         let sizes = [1, 3, 3, 2, 5, 7];
         let truncated = 2;
         let mut shots: Vec<Shot> = sys.test_data().shots()[..sizes.iter().sum()].to_vec();
@@ -526,8 +532,8 @@ mod tests {
             for (shot, states) in shots.iter().zip(&chunked) {
                 proptest::prop_assert_eq!(*states, batch.classify_shot_on(Backend::Float, shot));
             }
-            // The Q16.16 path shares the gather logic; spot-check a prefix
-            // that still exercises quads and tails.
+            // The Q16.16 path shares the quad/tail split; spot-check a
+            // prefix that still exercises quads and tails.
             let hw_shots = &shots[..67.min(shots.len())];
             let hw = batch.classify_shots_on(Backend::Hardware, hw_shots);
             for (shot, states) in hw_shots.iter().zip(&hw) {

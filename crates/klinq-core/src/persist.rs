@@ -57,7 +57,8 @@
 //! corrupt device quarantines that shard alone:
 //! [`load_device_bundle_quarantined`] returns a per-device
 //! `Result`, letting a fleet boot degraded and report exactly which
-//! shard is down.
+//! shard is down, and [`load_bundle_device`] converts one device alone —
+//! what a shard restart reloads.
 
 use crate::discriminator::{KlinqDiscriminator, KlinqSystem};
 use crate::error::KlinqError;
@@ -319,10 +320,21 @@ fn parse_marked<T: Deserialize>(
     want_format: &str,
     want_version: u32,
 ) -> Result<T, KlinqError> {
+    let value = parse_checked(json, want_format, want_version)?;
+    serde_json::from_value(value).map_err(|e| KlinqError::Artifact(e.to_string()))
+}
+
+/// The untyped half of [`parse_marked`]: parses artifact JSON once and
+/// checks its markers, leaving the typed deserialize to the caller.
+fn parse_checked(
+    json: &str,
+    want_format: &str,
+    want_version: u32,
+) -> Result<serde_json::Value, KlinqError> {
     let value: serde_json::Value =
         serde_json::from_str(json).map_err(|e| KlinqError::Artifact(e.to_string()))?;
     peek_marker(&value, want_format, want_version)?;
-    serde_json::from_value(value).map_err(|e| KlinqError::Artifact(e.to_string()))
+    Ok(value)
 }
 
 /// Checks a parsed artifact's `format`/`version` markers *before* the
@@ -432,6 +444,49 @@ pub fn device_bundle_from_json_quarantined(
                 .map_err(|e| KlinqError::Artifact(format!("device {dev}: {e}")))
         })
         .collect())
+}
+
+/// The JSON half of [`load_bundle_device`].
+fn bundle_device_from_json(json: &str, device: usize) -> Result<KlinqSystem, KlinqError> {
+    let bundle = parse_checked(json, BUNDLE_FORMAT, BUNDLE_VERSION)?;
+    let devices = bundle
+        .get("devices")
+        .and_then(|d| d.as_array())
+        .ok_or_else(|| KlinqError::Artifact("device bundle has no `devices` array".to_string()))?;
+    if devices.is_empty() {
+        return Err(KlinqError::Artifact(
+            "device bundle holds no devices".to_string(),
+        ));
+    }
+    let artifact = devices.get(device).ok_or_else(|| {
+        KlinqError::Artifact(format!(
+            "device {device} is out of range: the bundle holds {} devices",
+            devices.len()
+        ))
+    })?;
+    SystemArtifact::from_value(artifact)
+        .map_err(|e| KlinqError::Artifact(e.to_string()))
+        .and_then(KlinqSystem::from_artifact)
+        .map_err(|e| KlinqError::Artifact(format!("device {device}: {e}")))
+}
+
+/// Loads one device of a bundle written by [`save_device_bundle`] —
+/// element `device` of [`load_device_bundle_quarantined`], converting
+/// only that device: what a shard restart needs. The envelope is parsed
+/// and its markers checked once, as for a full load; no other device is
+/// deserialized, checksummed or checked, so a corrupt sibling does not
+/// stop this one from loading.
+///
+/// # Errors
+///
+/// Returns [`KlinqError::Io`] if the file cannot be read, and
+/// [`KlinqError::Artifact`] on malformed JSON, wrong bundle markers, an
+/// empty `devices` array, a `device` past its end, or a device artifact
+/// that fails its own checks (the message names the device).
+pub fn load_bundle_device(path: &Path, device: usize) -> Result<KlinqSystem, KlinqError> {
+    let json = std::fs::read_to_string(path)
+        .map_err(|e| KlinqError::Io(format!("{}: {e}", path.display())))?;
+    bundle_device_from_json(&json, device)
 }
 
 /// Writes a multi-device bundle to `path` (atomic rename, like
@@ -663,6 +718,70 @@ mod tests {
         let err = fleet[1].as_ref().unwrap_err();
         assert!(err.to_string().contains("device 1"), "{err}");
         assert!(err.to_string().contains("checksum mismatch"), "{err}");
+    }
+
+    #[test]
+    fn one_device_loads_equal_to_the_full_load() {
+        let sys = smoke_system();
+        let rebuilt = KlinqSystem::from_artifact_json(&sys.to_artifact_json().unwrap()).unwrap();
+        let json = device_bundle_to_json(&[sys, &rebuilt, sys]).unwrap();
+        let full = device_bundle_from_json(&json).unwrap();
+        for (k, want) in full.iter().enumerate() {
+            assert_eq!(&bundle_device_from_json(&json, k).unwrap(), want, "device {k}");
+        }
+        let dir = std::env::temp_dir().join(format!("klinq_bundle_device_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("fleet.json");
+        std::fs::write(&path, &json).unwrap();
+        assert_eq!(&load_bundle_device(&path, 2).unwrap(), &full[2]);
+        let err = load_bundle_device(&dir.join("missing.json"), 0).unwrap_err();
+        assert!(matches!(err, KlinqError::Io(_)), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn one_device_load_types_its_own_errors_and_skips_its_siblings() {
+        let sys = smoke_system();
+        let json = device_bundle_to_json(&[sys, sys, sys]).unwrap();
+        let err = bundle_device_from_json(&json, 3).unwrap_err();
+        assert!(matches!(err, KlinqError::Artifact(_)), "{err}");
+        assert!(err.to_string().contains("device 3 is out of range"), "{err}");
+        // Device 1 corrupt: it fails typed with its index, its siblings
+        // still load, as the quarantined full load has them.
+        let corrupt = flip_checksum(&json, 1);
+        let err = bundle_device_from_json(&corrupt, 1).unwrap_err();
+        assert!(matches!(err, KlinqError::Artifact(_)), "{err}");
+        assert!(err.to_string().contains("device 1"), "{err}");
+        assert!(err.to_string().contains("checksum mismatch"), "{err}");
+        let quarantined = device_bundle_from_json_quarantined(&corrupt).unwrap();
+        for k in [0, 2] {
+            assert_eq!(
+                &bundle_device_from_json(&corrupt, k).unwrap(),
+                quarantined[k].as_ref().unwrap()
+            );
+        }
+        // A sibling whose artifact does not even deserialize fails the
+        // whole quarantined load, but not device 0's own.
+        let system_json = sys.to_artifact_json().unwrap();
+        let mangled = system_json.replacen("\"teachers\"", "\"tutors\"", 1);
+        let mixed = format!(
+            r#"{{"format":"klinq-bundle","version":2,"devices":[{system_json},{mangled}]}}"#
+        );
+        assert!(device_bundle_from_json_quarantined(&mixed).is_err());
+        assert_eq!(&bundle_device_from_json(&mixed, 0).unwrap(), sys);
+        assert!(matches!(
+            bundle_device_from_json(&mixed, 1),
+            Err(KlinqError::Artifact(_))
+        ));
+        // The envelope's markers and messages are the full load's.
+        let err = bundle_device_from_json(&system_json, 0).unwrap_err();
+        assert!(err.to_string().contains("format"), "{err}");
+        let future = json.replacen("\"version\":2", "\"version\":99", 1);
+        let err = bundle_device_from_json(&future, 0).unwrap_err();
+        assert!(err.to_string().contains("version 99"), "{err}");
+        let empty = r#"{"format":"klinq-bundle","version":2,"devices":[]}"#;
+        let err = bundle_device_from_json(empty, 0).unwrap_err();
+        assert!(err.to_string().contains("no devices"), "{err}");
     }
 
     #[test]

@@ -196,11 +196,7 @@ impl MatchedFilter {
         let n = len.min(self.envelope.len());
         let mut acc = [0.0f64; 4];
         for (sample, &e) in channel[..n * 4].chunks_exact(4).zip(&self.envelope) {
-            let e = e as f64;
-            acc[0] += e * sample[0] as f64;
-            acc[1] += e * sample[1] as f64;
-            acc[2] += e * sample[2] as f64;
-            acc[3] += e * sample[3] as f64;
+            mac_x4(&mut acc, e, sample);
         }
         acc
     }
@@ -256,6 +252,16 @@ impl MatchedFilter {
             out.push(sum);
         }
         out
+    }
+}
+
+/// One interleaved sample of four lanes into their four accumulators:
+/// `acc[l] += e * sample[l]` in `f64`, the single-trace operation.
+#[inline]
+fn mac_x4(acc: &mut [f64; 4], e: f32, sample: &[f32]) {
+    let e = f64::from(e);
+    for (a, &x) in acc.iter_mut().zip(sample) {
+        *a += e * f64::from(x);
     }
 }
 
@@ -321,10 +327,31 @@ impl IqMatchedFilter {
     /// # Panics
     ///
     /// Panics if either channel's length differs from `len * 4`.
+    ///
+    /// The two channels run in one loop over their shared prefix: each
+    /// lane's I and Q sums keep their sample order, so the bits are
+    /// those of two separate passes, while the two dependency chains
+    /// overlap instead of running one after the other.
     pub fn apply_prefix_batch(&self, i: &[f32], q: &[f32], len: usize) -> [f64; 4] {
-        let ii = self.i.apply_prefix_batch(i, len);
-        let qq = self.q.apply_prefix_batch(q, len);
-        [ii[0] + qq[0], ii[1] + qq[1], ii[2] + qq[2], ii[3] + qq[3]]
+        assert_eq!(i.len(), len * 4, "interleaved channel length mismatch");
+        assert_eq!(q.len(), len * 4, "interleaved channel length mismatch");
+        let (env_i, env_q) = (self.i.envelope(), self.q.envelope());
+        let (n_i, n_q) = (len.min(env_i.len()), len.min(env_q.len()));
+        let both = n_i.min(n_q);
+        let (mut acc_i, mut acc_q) = ([0.0f64; 4], [0.0f64; 4]);
+        let samples = i[..both * 4].chunks_exact(4).zip(q[..both * 4].chunks_exact(4));
+        for ((si, sq), (&ei, &eq)) in samples.zip(env_i.iter().zip(env_q)) {
+            mac_x4(&mut acc_i, ei, si);
+            mac_x4(&mut acc_q, eq, sq);
+        }
+        // The rest of the longer envelope's prefix, when the two differ.
+        for (sample, &e) in i[both * 4..n_i * 4].chunks_exact(4).zip(&env_i[both..]) {
+            mac_x4(&mut acc_i, e, sample);
+        }
+        for (sample, &e) in q[both * 4..n_q * 4].chunks_exact(4).zip(&env_q[both..]) {
+            mac_x4(&mut acc_q, e, sample);
+        }
+        std::array::from_fn(|l| acc_i[l] + acc_q[l])
     }
 
     /// Windowed variant returning `2 * windows` features (I windows then Q
@@ -516,6 +543,39 @@ mod tests {
     fn apply_prefix_batch_rejects_bad_length() {
         let mf = MatchedFilter::from_envelope(vec![1.0; 4]);
         let _ = mf.apply_prefix_batch(&[0.0; 9], 4);
+    }
+
+    #[test]
+    fn iq_apply_prefix_batch_is_bitwise_identical_per_lane() {
+        let envelope = |n: usize, phase: f32| -> Vec<f32> {
+            (0..n).map(|k| ((k as f32 + phase) * 0.37).sin()).collect()
+        };
+        // Equal envelopes, and I longer or shorter than Q; prefixes shorter
+        // than both, between the two, and longer than both.
+        for (n_i, n_q) in [(24, 24), (24, 17), (17, 24)] {
+            let mf = IqMatchedFilter {
+                i: MatchedFilter::from_envelope(envelope(n_i, 0.5)),
+                q: MatchedFilter::from_envelope(envelope(n_q, 2.0)),
+            };
+            for len in [8usize, 17, 20, 24, 30] {
+                let lane = |l: usize, c: f32| -> Vec<f32> {
+                    (0..len).map(|k| ((k * 3 + l) as f32 * 0.21 + c).cos() * 1.7).collect()
+                };
+                let (i, q): (Vec<_>, Vec<_>) = (0..4).map(|l| (lane(l, 0.0), lane(l, 1.3))).unzip();
+                let interleave = |lanes: &[Vec<f32>]| -> Vec<f32> {
+                    (0..len * 4).map(|x| lanes[x % 4][x / 4]).collect()
+                };
+                let batched = mf.apply_prefix_batch(&interleave(&i), &interleave(&q), len);
+                for l in 0..4 {
+                    let want = mf.apply_prefix(&i[l], &q[l]);
+                    assert_eq!(
+                        batched[l].to_bits(),
+                        want.to_bits(),
+                        "lane {l}, {n_i}/{n_q}, len {len}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

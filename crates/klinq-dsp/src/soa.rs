@@ -1,20 +1,23 @@
-//! Structure-of-arrays trace blocks for the cache-blocked batch engine.
+//! Structure-of-arrays trace blocks for the float batch engine.
 //!
 //! The serving hot path classifies shots in chunks; within a chunk, the
-//! front-end stages (averaging, matched filter, normalization) and the
-//! fixed-point datapath all walk the same raw traces. In the
-//! array-of-structures layout each shot's I and Q traces are separate heap
-//! allocations, so a four-shot block touches eight scattered buffers per
-//! qubit. [`TraceBatch`] gathers one block's traces into two contiguous
-//! **lane-interleaved** buffers (sample `k` of lane `l` at `k * LANES + l`):
-//! every fused kernel then streams one buffer front to back, the whole
-//! block stays L1-resident across pipeline stages, and the inner loops
-//! vectorize across lanes while each lane keeps its scalar summation
-//! order (see [`crate::averaging`] for the order policy).
+//! float front-end stages (averaging, matched filter, normalization) all
+//! walk the same raw traces. In the array-of-structures layout each
+//! shot's I and Q traces are separate heap allocations, so a four-shot
+//! block touches eight scattered buffers per qubit. [`TraceBatch`]
+//! gathers one block's traces into two contiguous **lane-interleaved**
+//! buffers (sample `k` of lane `l` at `k * LANES + l`): every fused float
+//! kernel then streams one buffer front to back, the whole block stays
+//! L1-resident across pipeline stages, and the inner loops vectorize
+//! across lanes while each lane keeps its scalar summation order (see
+//! [`crate::averaging`] for the order policy).
 //!
 //! The gather itself is one linear copy per stage-*pipeline* (not per
 //! stage): averaging, matched filter and normalization all reuse it, which
-//! is where the cache-blocked layout pays for the copy.
+//! is where the cache-blocked layout pays for the copy. The Q16.16
+//! datapath does not gather: its four-lane kernel reads each shot's own
+//! contiguous samples, and takes a `TraceBatch` only through an adapter
+//! that copies the lanes back out.
 
 /// A gathered block of [`TraceBatch::LANES`] equal-length I/Q trace pairs
 /// in lane-interleaved SoA layout.

@@ -96,12 +96,11 @@ impl Q16_16 {
     /// from zero) and saturating at the representable range. NaN maps to
     /// zero.
     ///
-    /// Branchless and vectorizable: the half-adjust
-    /// `trunc(x + copysign(0.5, x))` with a float-space NaN guard and
-    /// clamp lowers to plain SIMD ops, unlike `f64::round` whose
-    /// ties-away semantics have no x86 instruction — this is what lets
-    /// the batched datapath's bulk ADC-quantization loops
-    /// autovectorize.
+    /// Branchless: the half-adjust `trunc(x + copysign(0.5, x))` with
+    /// a float-space NaN guard and clamp lowers to plain SIMD ops, so a
+    /// loop of it vectorizes. The datapath's ADC quantization of `f32`
+    /// samples goes through [`Self::from_f32`], which computes the same
+    /// bits in `f32`.
     ///
     /// Rounding contract: exact ties (`v * 2^16` landing on `k + 0.5`)
     /// round away from zero like `f64::round`; a value within 1 ulp
@@ -130,10 +129,33 @@ impl Q16_16 {
         Self(unsafe { clamped.to_int_unchecked::<i32>() })
     }
 
-    /// Converts an `f32` to fixed point, rounding to nearest and saturating.
+    /// Converts an `f32` to fixed point, rounding to nearest (ties away
+    /// from zero) and saturating at the representable range. NaN maps to
+    /// zero.
+    ///
+    /// Bit for bit [`Self::from_f64`]`(v as f64)` for every `f32`, but
+    /// computed in `f32`, so a vector register holds twice the lanes —
+    /// the ADC quantization of the datapath runs this over every raw
+    /// sample. The scaling by `2^16` is exact, `f32::round` breaks ties
+    /// away from zero like the half-adjust, and an `f32` has too few
+    /// significand bits to sit within 1 ulp below a tie in `f64`, so
+    /// the two roundings agree (checked on all 2^32 bit patterns).
     #[inline]
     pub fn from_f32(v: f32) -> Self {
-        Self::from_f64(v as f64)
+        // 2^31, the first scaled value past `i32::MAX`; the largest f32
+        // below it is 2^31 − 128.
+        const LIMIT: f32 = 2_147_483_648.0;
+        let rounded = (v * SCALE as f32).round();
+        // NaN → 0 and the clamp as float selects, then the out-of-range
+        // top as an integer select: all vector ops, where the saturating
+        // `as i32` cast would convert one sample at a time.
+        let guarded = if rounded.is_nan() { 0.0 } else { rounded };
+        let clamped = guarded.clamp(-LIMIT, LIMIT - 128.0);
+        // SAFETY: `clamped` is finite and lies in [-2^31, 2^31 − 128],
+        // inside `i32`'s range, so the truncating conversion cannot
+        // overflow (and it is exact: `clamped` is already an integer).
+        let bits = unsafe { clamped.to_int_unchecked::<i32>() };
+        Self(if guarded >= LIMIT { i32::MAX } else { bits })
     }
 
     /// Converts to `f64` (exact: every Q16.16 value fits in an f64).
@@ -552,6 +574,78 @@ mod tests {
         assert_eq!(Q16_16::from_f64(f64::NAN), Q16_16::ZERO);
         assert_eq!(Q16_16::from_f64(f64::INFINITY), Q16_16::MAX);
         assert_eq!(Q16_16::from_f64(f64::NEG_INFINITY), Q16_16::MIN);
+    }
+
+    /// `from_f32` against its definition, `from_f64(v as f64)`, on each
+    /// `f32` bit pattern given.
+    fn assert_from_f32_matches_from_f64(patterns: impl IntoIterator<Item = u32>) {
+        for bits in patterns {
+            let v = f32::from_bits(bits);
+            assert_eq!(
+                Q16_16::from_f32(v),
+                Q16_16::from_f64(f64::from(v)),
+                "{v:e} ({bits:#010x})"
+            );
+        }
+    }
+
+    #[test]
+    fn from_f32_matches_from_f64_at_the_edges() {
+        let mut patterns = Vec::new();
+        let mut with_neighbours = |v: f32| {
+            let bits = v.to_bits();
+            patterns.extend([bits - 1, bits, bits + 1]);
+        };
+        // Ties at (k + 0.5) / 2^16 — up to the largest k whose tie an
+        // f32 holds — and 1 ulp on either side, both signs.
+        for k in [0u32, 1, 1 << 22, (1 << 23) - 1] {
+            let tie = (k as f32 + 0.5) / 65536.0;
+            assert_eq!(f64::from(tie) * 65536.0, f64::from(k) + 0.5, "k = {k}");
+            with_neighbours(tie);
+            with_neighbours(-tie);
+        }
+        // The saturation edge, 2^31 / 2^16, and 1 ulp on either side.
+        with_neighbours(32768.0);
+        with_neighbours(-32768.0);
+        with_neighbours(f32::MIN_POSITIVE);
+        // ±0 and subnormals.
+        for bits in [0u32, 1, 2, 0x40_0000, 0x7f_ffff] {
+            patterns.extend([bits, bits | 0x8000_0000]);
+        }
+        // The extremes, the infinities and NaNs with payloads, quiet and
+        // signalling, both signs.
+        patterns.extend([f32::MAX, f32::MIN, f32::INFINITY, f32::NEG_INFINITY].map(f32::to_bits));
+        patterns.extend([0x7fc0_0000, 0x7fc0_0001, 0x7f80_0001, 0x7fff_ffff]);
+        patterns.extend([0xffc0_0000, 0xff80_0001, 0xffff_ffff]);
+        assert_from_f32_matches_from_f64(patterns);
+
+        assert_eq!(Q16_16::from_f32(0.5 / 65536.0), Q16_16::EPSILON);
+        assert_eq!(Q16_16::from_f32(-0.5 / 65536.0), Q16_16::from_bits(-1));
+        assert_eq!(Q16_16::from_f32(32768.0), Q16_16::MAX);
+        assert_eq!(Q16_16::from_f32(-32768.0), Q16_16::MIN);
+        assert_eq!(Q16_16::from_f32(f32::NAN), Q16_16::ZERO);
+        let below = f32::from_bits(32768.0f32.to_bits() - 1);
+        assert_eq!(Q16_16::from_f32(below), Q16_16::from_bits(i32::MAX - 127));
+    }
+
+    #[test]
+    fn from_f32_matches_from_f64_on_a_seeded_sweep() {
+        // SplitMix64 over 10^7 draws: every exponent, sign and payload.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let patterns = std::iter::repeat_with(move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) as u32
+        });
+        assert_from_f32_matches_from_f64(patterns.take(10_000_000));
+    }
+
+    #[test]
+    #[ignore = "all 2^32 f32 bit patterns: about 15 s in release, far longer in debug"]
+    fn from_f32_matches_from_f64_on_every_f32() {
+        assert_from_f32_matches_from_f64(0..=u32::MAX);
     }
 
     #[test]

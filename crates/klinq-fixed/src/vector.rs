@@ -149,8 +149,7 @@ pub fn dot(a: &[Q16_16], b: &[Q16_16]) -> Q16_16 {
     dot_wide(a, b).to_fixed_saturating()
 }
 
-/// Four lane-interleaved wide dot products sharing one coefficient vector:
-/// the blocked MAC kernel of the batched Q16.16 datapath.
+/// Four lane-interleaved wide dot products sharing one coefficient vector.
 ///
 /// `lanes` holds four interleaved operand vectors (element `k` of lane `l`
 /// at `lanes[k * 4 + l]`); the return value's lane `l` equals

@@ -13,7 +13,7 @@ use crate::quant::QuantizedDense;
 use crate::resources::{avg_norm_resources, network_resources, Resources};
 use klinq_dsp::{FeaturePipeline, TraceBatch};
 use klinq_fixed::q16::FRAC_BITS;
-use klinq_fixed::{dot_wide, dot_wide_x4, shift_divide, Q16_16, WideAccumulator};
+use klinq_fixed::{dot_wide, shift_divide, Q16_16, WideAccumulator};
 use klinq_nn::{Activation, Fnn};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -71,29 +71,39 @@ pub struct InferenceDetail {
 /// [`FpgaDiscriminator::infer_detailed_with`]).
 ///
 /// One scratch serves any number of compiled designs: buffers grow to the
-/// largest trace/layer seen and are reused afterwards, so the batched
-/// Q16.16 serving path performs zero heap allocations after warmup.
+/// largest trace/layer seen and are reused afterwards, so the per-shot
+/// Q16.16 path performs zero heap allocations after warmup.
 #[derive(Debug, Clone, Default)]
 pub struct HwScratch {
-    i_q: Vec<Q16_16>,
-    q_q: Vec<Q16_16>,
+    lane: LaneScratch,
     features: Vec<Q16_16>,
     work: Vec<Q16_16>,
 }
 
-/// Reusable fixed-point buffers for the **batched** Q16.16 datapath
-/// ([`FpgaDiscriminator::infer_batch_with`]): the quantized SoA trace
-/// block and front-end features in the same `sample × 4` interleaving as
-/// [`TraceBatch`], plus the two buffers of lane rows (lane `l`'s vector
-/// at `[l * width, (l + 1) * width)`) the fully connected stage
-/// ping-pongs through.
+/// Reusable fixed-point buffers for the four-lane Q16.16 kernel
+/// ([`FpgaDiscriminator::infer_quad_with`]) and its [`TraceBatch`]
+/// adapter ([`FpgaDiscriminator::infer_batch_with`]): the front end's
+/// buffers for one channel of one lane (reused lane by lane), the two
+/// buffers of lane rows (lane `l`'s vector at
+/// `[l * width, (l + 1) * width)`) the fully connected stage ping-pongs
+/// through, and the adapter's de-interleaved copy of a gathered block.
+///
+/// Like [`HwScratch`], one scratch serves any number of designs and
+/// stops allocating once warm.
 #[derive(Debug, Clone, Default)]
 pub struct HwBatchScratch {
-    i_q: Vec<Q16_16>,
-    q_q: Vec<Q16_16>,
-    features: Vec<Q16_16>,
+    lane: LaneScratch,
     lanes: Vec<Q16_16>,
     work: Vec<Q16_16>,
+    traces: Vec<f32>,
+}
+
+/// The front end's buffers for one channel of one lane: its quantized
+/// samples and its averaging groups' raw sums.
+#[derive(Debug, Clone, Default)]
+struct LaneScratch {
+    samples: Vec<Q16_16>,
+    sums: Vec<i64>,
 }
 
 impl HwBatchScratch {
@@ -230,35 +240,8 @@ impl FpgaDiscriminator {
         q: &[f32],
         scratch: &mut HwScratch,
     ) -> InferenceDetail {
-        assert_eq!(i.len(), q.len(), "I and Q traces must have equal length");
-        let m = self.outputs_per_channel;
         let dim = self.input_dim();
-
-        // ADC quantization of the raw samples.
-        scratch.i_q.clear();
-        scratch.i_q.extend(i.iter().map(|&v| Q16_16::from_f32(v)));
-        scratch.q_q.clear();
-        scratch.q_q.extend(q.iter().map(|&v| Q16_16::from_f32(v)));
-
-        // Averaging unit: adder tree per group, then shift (power-of-two
-        // group) or reciprocal multiply.
-        let features = grown(&mut scratch.features, dim);
-        let (avg_i, rest) = features.split_at_mut(m);
-        let (avg_q, mf_slot) = rest.split_at_mut(m);
-        self.average_into(&scratch.i_q, avg_i);
-        self.average_into(&scratch.q_q, avg_q);
-
-        // Matched-filter MAC over the available envelope prefix.
-        let n_i = scratch.i_q.len().min(self.mf_env_i.len());
-        let n_q = scratch.q_q.len().min(self.mf_env_q.len());
-        let mut mf_acc = dot_wide(&self.mf_env_i[..n_i], &scratch.i_q[..n_i]);
-        mf_acc.merge(dot_wide(&self.mf_env_q[..n_q], &scratch.q_q[..n_q]));
-        mf_slot[0] = mf_acc.to_fixed_saturating();
-
-        // Shift normalization: (x − min) >> e.
-        for ((f, &mn), &e) in features.iter_mut().zip(&self.norm_min).zip(&self.norm_exp) {
-            *f = normalized(*f, mn, e);
-        }
+        self.front_end(i, q, &mut scratch.lane, grown(&mut scratch.features, dim));
 
         // Fully connected pipeline, ping-ponging the two scratch buffers;
         // each layer reads only its input width of the buffer before it.
@@ -273,80 +256,35 @@ impl FpgaDiscriminator {
         detail(x[0], overflow_count)
     }
 
-    /// Runs one inference per lane of a gathered [`TraceBatch`] — the
-    /// fused, cache-blocked form of [`Self::infer_detailed_with`] for the
-    /// batched serving path.
+    /// Runs one inference per lane of a four-shot block, each lane on its
+    /// own `(i, q)` traces — the batched form of
+    /// [`Self::infer_detailed_with`] for the serving path.
     ///
-    /// The block's interleaved traces are quantized once into the
-    /// scratch. Averaging and the matched-filter MAC run four lanes side
-    /// by side in the same interleaving; normalization transposes the
-    /// features into one row per lane on its way; and each dense layer
-    /// runs once for all four rows ([`QuantizedDense::forward_x4`]),
-    /// streaming its weights once per block instead of once per lane.
+    /// Each lane runs the same front end as the per-shot path, over its
+    /// own contiguous samples and its own trace length (lanes need not
+    /// match), and writes its feature row; then each dense layer runs
+    /// once for all four rows ([`QuantizedDense::forward_x4`]), streaming
+    /// its weights once per block instead of once per lane.
     ///
     /// Lane `l` is **bitwise-identical** to [`Self::infer_detailed`] on
-    /// that lane's traces, logit and overflow count included. Every
-    /// accumulator on the way — averaging sums, matched-filter and neuron
-    /// MACs — is a wrapping `i64` sum, so the blocked evaluation order
-    /// gives the same bits as the per-shot order, and every write-back
-    /// (renormalization, reciprocal multiply, shift, ReLU) is the same
-    /// elementwise function of its accumulator on both paths.
+    /// that lane's traces, logit and overflow count included: the front
+    /// end is the per-shot one, and every neuron MAC is a wrapping `i64`
+    /// sum, so the blocked evaluation order gives the same bits.
     ///
     /// # Panics
     ///
-    /// Panics if the batch's traces are shorter than the averager output
-    /// count.
-    pub fn infer_batch_with(
+    /// Panics if a lane's traces are shorter than the averager output
+    /// count or differ in length.
+    pub fn infer_quad_with(
         &self,
-        batch: &TraceBatch,
+        lanes: [(&[f32], &[f32]); TraceBatch::LANES],
         scratch: &mut HwBatchScratch,
     ) -> [InferenceDetail; TraceBatch::LANES] {
         const L: usize = TraceBatch::LANES;
-        let m = self.outputs_per_channel;
         let dim = self.input_dim();
-
-        // ADC quantization of the interleaved block (elementwise, so the
-        // interleaving is transparent).
-        scratch.i_q.clear();
-        scratch
-            .i_q
-            .extend(batch.i_interleaved().iter().map(|&v| Q16_16::from_f32(v)));
-        scratch.q_q.clear();
-        scratch
-            .q_q
-            .extend(batch.q_interleaved().iter().map(|&v| Q16_16::from_f32(v)));
-
-        // Averaging unit over both channels, four lanes at a time.
-        let features = grown(&mut scratch.features, dim * L);
-        let (avg_i, rest) = features.split_at_mut(m * L);
-        let (avg_q, mf_slot) = rest.split_at_mut(m * L);
-        self.average_batch_into(&scratch.i_q, avg_i);
-        self.average_batch_into(&scratch.q_q, avg_q);
-
-        // Matched-filter MAC over the available envelope prefix: four
-        // interleaved wide-accumulator chains per channel.
-        let n_i = batch.len().min(self.mf_env_i.len());
-        let n_q = batch.len().min(self.mf_env_q.len());
-        let mut mf_acc = dot_wide_x4(&self.mf_env_i[..n_i], &scratch.i_q[..n_i * L]);
-        let mf_q = dot_wide_x4(&self.mf_env_q[..n_q], &scratch.q_q[..n_q * L]);
-        for (slot, (a, q)) in mf_slot.iter_mut().zip(mf_acc.iter_mut().zip(mf_q)) {
-            a.merge(q);
-            *slot = a.to_fixed_saturating();
-        }
-
-        // Shift normalization fused with the transpose into lane rows:
-        // one pass per lane over the per-feature constants, branch-free.
-        let features = &scratch.features[..dim * L];
         let rows = grown(&mut scratch.lanes, dim * L);
-        for (l, row) in rows.chunks_exact_mut(dim).enumerate() {
-            for (((x, quad), &mn), &e) in row
-                .iter_mut()
-                .zip(features.chunks_exact(L))
-                .zip(&self.norm_min)
-                .zip(&self.norm_exp)
-            {
-                *x = normalized(quad[l], mn, e);
-            }
+        for ((i, q), row) in lanes.into_iter().zip(rows.chunks_exact_mut(dim)) {
+            self.front_end(i, q, &mut scratch.lane, row);
         }
 
         // Fully connected pipeline, one pass per layer for all four lane
@@ -367,73 +305,69 @@ impl FpgaDiscriminator {
         std::array::from_fn(|l| detail(rows[l], overflow_count[l]))
     }
 
-    /// Four-lane fixed-point averaging over a lane-interleaved channel —
-    /// the batched form of [`Self::average_into`], bitwise-identical per
-    /// lane, written in the same interleaving.
+    /// [`Self::infer_quad_with`] over a gathered [`TraceBatch`]: the
+    /// block's interleaved lanes are copied back into contiguous traces
+    /// in the scratch, then run through the same kernel. Lane `l` is
+    /// bitwise-identical to [`Self::infer_detailed`] on that lane's
+    /// traces.
     ///
-    /// Each group's raw samples sum in a plain `i64` per lane, shifted
-    /// once to Q32.32: `(Σx) << 16` is `Σ(x << 16)`, the per-shot path's
-    /// wrapping sum, to the bit. The divide is one choice per call (a
-    /// shift for a power-of-two group, else the reciprocal multiply), so
-    /// the write-back carries no data-dependent branch.
-    fn average_batch_into(&self, channel: &[Q16_16], out: &mut [Q16_16]) {
+    /// # Panics
+    ///
+    /// Panics if the batch's traces are shorter than the averager output
+    /// count.
+    pub fn infer_batch_with(
+        &self,
+        batch: &TraceBatch,
+        scratch: &mut HwBatchScratch,
+    ) -> [InferenceDetail; TraceBatch::LANES] {
         const L: usize = TraceBatch::LANES;
-        let m = self.outputs_per_channel;
-        debug_assert_eq!(out.len(), m * L);
-        debug_assert_eq!(channel.len() % L, 0);
-        let len = channel.len() / L;
-        assert!(
-            len >= m,
-            "trace too short: {len} samples for {m} outputs"
-        );
-        let group = (len / m).max(1);
-        let shift = group.is_power_of_two().then(|| group.trailing_zeros());
-        let recip = Q16_16::from_f64(1.0 / group as f64);
-        for (slot, samples) in out.chunks_exact_mut(L).zip(channel.chunks_exact(group * L)) {
-            let mut sum = [0i64; L];
-            for quad in samples.chunks_exact(L) {
-                for (s, x) in sum.iter_mut().zip(quad) {
-                    *s += i64::from(x.to_bits());
+        let len = batch.len();
+        // Moved out and back so the kernel can borrow the rest of the
+        // scratch while the lanes borrow this buffer.
+        let mut traces = std::mem::take(&mut scratch.traces);
+        let (i_lanes, q_lanes) = grown(&mut traces, 2 * L * len).split_at_mut(L * len);
+        for (channel, lanes) in [
+            (batch.i_interleaved(), i_lanes),
+            (batch.q_interleaved(), q_lanes),
+        ] {
+            for (k, quad) in channel.chunks_exact(L).enumerate() {
+                for (l, &v) in quad.iter().enumerate() {
+                    lanes[l * len + k] = v;
                 }
-            }
-            for (v, s) in slot.iter_mut().zip(sum) {
-                let mean = WideAccumulator::from_raw(s << FRAC_BITS).to_fixed_saturating();
-                *v = match shift {
-                    Some(shift) => mean >> shift,
-                    None => mean.saturating_mul(recip),
-                };
             }
         }
+        let (i_lanes, q_lanes) = traces[..2 * L * len].split_at(L * len);
+        let lane = |l: usize| (&i_lanes[l * len..][..len], &q_lanes[l * len..][..len]);
+        let details = self.infer_quad_with(std::array::from_fn(lane), scratch);
+        scratch.traces = traces;
+        details
     }
 
-    fn average_into(&self, channel: &[Q16_16], out: &mut [Q16_16]) {
+    /// The Q16.16 front end of one lane — the AVG&NORM unit beside the
+    /// matched-filter MAC — over that lane's own contiguous samples,
+    /// writing its feature row: each channel is quantized once into the
+    /// scratch (the ADC), averaged into its `m` slots of `row` and MAC'ed
+    /// against the envelope prefix it covers; the two MACs join into the
+    /// last slot, and the whole row is shift-normalized in place,
+    /// `(x − min) >> e`.
+    fn front_end(&self, i: &[f32], q: &[f32], scratch: &mut LaneScratch, row: &mut [Q16_16]) {
+        assert_eq!(i.len(), q.len(), "I and Q traces must have equal length");
         let m = self.outputs_per_channel;
-        debug_assert_eq!(out.len(), m);
-        assert!(
-            channel.len() >= m,
-            "trace too short: {} samples for {} outputs",
-            channel.len(),
-            m
-        );
-        let group = (channel.len() / m).max(1);
-        if group.is_power_of_two() {
-            let shift = group.trailing_zeros() as i32;
-            for (k, slot) in out.iter_mut().enumerate() {
-                let mut acc = WideAccumulator::new();
-                for &s in &channel[k * group..(k + 1) * group] {
-                    acc.add_fixed(s);
-                }
-                *slot = shift_divide(acc.to_fixed_saturating(), shift);
+        let (avg_i, rest) = row.split_at_mut(m);
+        let (avg_q, mf_slot) = rest.split_at_mut(m);
+        let mut mf = WideAccumulator::new();
+        for (channel, envelope, avg) in [(i, &self.mf_env_i, avg_i), (q, &self.mf_env_q, avg_q)] {
+            let x = grown(&mut scratch.samples, channel.len());
+            for (s, &v) in x.iter_mut().zip(channel) {
+                *s = Q16_16::from_f32(v);
             }
-        } else {
-            let recip = Q16_16::from_f64(1.0 / group as f64);
-            for (k, slot) in out.iter_mut().enumerate() {
-                let mut acc = WideAccumulator::new();
-                for &s in &channel[k * group..(k + 1) * group] {
-                    acc.add_fixed(s);
-                }
-                *slot = acc.to_fixed_saturating().saturating_mul(recip);
-            }
+            average_into(x, &mut scratch.sums, avg);
+            let n = x.len().min(envelope.len());
+            mf.merge(dot_wide(&envelope[..n], &x[..n]));
+        }
+        mf_slot[0] = mf.to_fixed_saturating();
+        for ((f, &mn), &e) in row.iter_mut().zip(&self.norm_min).zip(&self.norm_exp) {
+            *f = normalized(*f, mn, e);
         }
     }
 
@@ -466,12 +400,53 @@ impl FpgaDiscriminator {
     }
 }
 
+/// The averaging unit over one quantized channel: `out.len()` groups of
+/// `len / out.len()` samples (trailing samples dropped), each summed by
+/// the adder tree and divided by a shift (power-of-two group) or the
+/// reciprocal multiply.
+///
+/// Each group sums its raw samples in a plain `i64` into `sums`: `Σx`
+/// shifted left by 16 is the hardware's wrapping Q32.32 sum `Σ(x << 16)`,
+/// to the bit. One write-back pass then renormalizes and divides every
+/// sum, with the divide chosen once per call, so it has no branch and
+/// vectorizes. A group of one is a copy: a single sample renormalizes to
+/// itself, and `>> 0` keeps it.
+fn average_into(x: &[Q16_16], sums: &mut Vec<i64>, out: &mut [Q16_16]) {
+    let m = out.len();
+    assert!(
+        x.len() >= m,
+        "trace too short: {} samples for {m} outputs",
+        x.len()
+    );
+    let group = x.len() / m;
+    if group == 1 {
+        out.copy_from_slice(&x[..m]);
+        return;
+    }
+    let sums = grown(sums, m);
+    for (sum, samples) in sums.iter_mut().zip(x.chunks_exact(group)) {
+        *sum = samples.iter().map(|s| i64::from(s.to_bits())).sum();
+    }
+    let mean = |sum: i64| WideAccumulator::from_raw(sum << FRAC_BITS).to_fixed_saturating();
+    if group.is_power_of_two() {
+        let shift = group.trailing_zeros();
+        for (v, &sum) in out.iter_mut().zip(sums.iter()) {
+            *v = mean(sum) >> shift;
+        }
+    } else {
+        let recip = Q16_16::from_f64(1.0 / group as f64);
+        for (v, &sum) in out.iter_mut().zip(sums.iter()) {
+            *v = mean(sum).saturating_mul(recip);
+        }
+    }
+}
+
 /// The first `len` slots of `buf`, growing it but never shrinking it, so
 /// a warm scratch neither reallocates nor clears: every slot handed out
 /// is written before it is read.
-fn grown(buf: &mut Vec<Q16_16>, len: usize) -> &mut [Q16_16] {
+fn grown<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
     if buf.len() < len {
-        buf.resize(len, Q16_16::ZERO);
+        buf.resize(len, T::default());
     }
     &mut buf[..len]
 }
@@ -646,6 +621,84 @@ mod tests {
                     hw.infer_detailed_with(i, q, &mut scratch),
                     hw.infer_detailed(i, q)
                 );
+            }
+        }
+    }
+
+    /// The front end by its definition: samples quantized through
+    /// `from_f64`, one adder-tree accumulator per averaging group and per
+    /// matched-filter channel, the divide as a shift or a reciprocal
+    /// multiply. The oracle for the shortcuts the datapath takes (the
+    /// `f32` quantizer, raw `i64` group sums, the group-of-one copy).
+    fn reference_features(hw: &FpgaDiscriminator, i: &[f32], q: &[f32]) -> Vec<Q16_16> {
+        let m = hw.outputs_per_channel;
+        let adc = |t: &[f32]| -> Vec<Q16_16> {
+            t.iter().map(|&v| Q16_16::from_f64(f64::from(v))).collect()
+        };
+        let (i, q) = (adc(i), adc(q));
+        let group = (i.len() / m).max(1);
+        let mut features = Vec::new();
+        for channel in [&i, &q] {
+            for samples in channel.chunks_exact(group).take(m) {
+                let mut acc = WideAccumulator::new();
+                for &s in samples {
+                    acc.add_fixed(s);
+                }
+                let mean = acc.to_fixed_saturating();
+                features.push(if group.is_power_of_two() {
+                    shift_divide(mean, group.trailing_zeros() as i32)
+                } else {
+                    mean.saturating_mul(Q16_16::from_f64(1.0 / group as f64))
+                });
+            }
+        }
+        let mut mf = WideAccumulator::new();
+        for (envelope, channel) in [(&hw.mf_env_i, &i), (&hw.mf_env_q, &q)] {
+            for (&e, &x) in envelope.iter().zip(channel) {
+                mf.mac(e, x);
+            }
+        }
+        features.push(mf.to_fixed_saturating());
+        features
+            .iter()
+            .zip(&hw.norm_min)
+            .zip(&hw.norm_exp)
+            .map(|((&x, &mn), &e)| shift_divide(x.saturating_sub(mn), e))
+            .collect()
+    }
+
+    #[test]
+    fn front_end_matches_the_reference_datapath() {
+        let (net, pipeline, ground, excited) = trained_setup();
+        let hw = FpgaDiscriminator::compile(&net, &pipeline, 120).unwrap();
+        // Traces past the 120-sample envelope, and loud ones that saturate
+        // the ADC and the averaging sums.
+        let long = class_traces(-1.0, 2, 240);
+        let loud: ClassTraces = ground[..2]
+            .iter()
+            .map(|(i, q)| {
+                (
+                    i.iter().map(|v| v * 2e4).collect(),
+                    q.iter().map(|v| v * -3e4).collect(),
+                )
+            })
+            .collect();
+        let mut scratch = LaneScratch::default();
+        let mut row = vec![Q16_16::ZERO; hw.input_dim()];
+        for (i, q) in ground[..3]
+            .iter()
+            .chain(&excited[..3])
+            .chain(&long)
+            .chain(&loud)
+        {
+            // Groups of 1 (15–29 samples), 2, 3, 4, 5, 7 and 8, and 10 and
+            // 16 on the long traces.
+            for len in [15, 16, 29, 30, 45, 60, 75, 105, 119, 120, 150, 240] {
+                let Some((i, q)) = i.get(..len).zip(q.get(..len)) else {
+                    continue;
+                };
+                hw.front_end(i, q, &mut scratch, &mut row);
+                assert_eq!(row, reference_features(&hw, i, q), "{len} samples");
             }
         }
     }

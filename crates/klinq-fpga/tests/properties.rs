@@ -1,13 +1,69 @@
 //! Property-based tests for the FPGA datapath models.
 
+use klinq_dsp::{FeaturePipeline, FeatureSpec, TraceBatch};
 use klinq_fpga::latency::{adder_tree_stages, avg_norm_stages, ceil_log2, network_stages};
 use klinq_fpga::quant::{quantize_vec, QuantizedDense};
 use klinq_fpga::resources::{avg_norm_resources, mf_resources, network_resources};
+use klinq_fpga::{FpgaDiscriminator, HwBatchScratch};
 use klinq_fixed::Q16_16;
+use klinq_nn::network::FnnBuilder;
 use klinq_nn::{Activation, Dense, Matrix};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::OnceLock;
+
+/// Owned (i, q) trace pairs.
+type Traces = Vec<(Vec<f32>, Vec<f32>)>;
+
+/// `n` synthetic trace pairs of `len` samples around one class level,
+/// varied per trace so every feature has a spread to normalize.
+fn class_traces(level: f32, n: usize, len: usize) -> Traces {
+    (0..n)
+        .map(|k| {
+            let jitter = 0.1 * ((k * 13 % 9) as f32 - 4.0);
+            let i = (0..len)
+                .map(|t| level + jitter + 0.3 * ((t * 7 + k) % 11) as f32 / 11.0)
+                .collect();
+            let q = (0..len)
+                .map(|t| -0.5 * level - jitter + 0.2 * ((t * 5 + k) % 7) as f32 / 7.0)
+                .collect();
+            (i, q)
+        })
+        .collect()
+}
+
+fn refs(t: &Traces) -> Vec<(&[f32], &[f32])> {
+    t.iter().map(|(i, q)| (&i[..], &q[..])).collect()
+}
+
+/// A design with `m` averages per channel compiled at `samples` samples
+/// over a seeded, untrained student: the kernel's contract holds for any
+/// weights.
+fn design(m: usize, samples: usize) -> FpgaDiscriminator {
+    let (ground, excited) = (
+        class_traces(1.0, 24, samples),
+        class_traces(-1.0, 24, samples),
+    );
+    let spec = FeatureSpec {
+        avg_outputs_per_channel: m,
+    };
+    let pipeline = FeaturePipeline::fit(spec, &refs(&ground), &refs(&excited)).unwrap();
+    let net = FnnBuilder::new(spec.input_dim())
+        .hidden(16, Activation::Relu)
+        .hidden(8, Activation::Relu)
+        .output(1)
+        .seed(m as u64)
+        .build();
+    FpgaDiscriminator::compile(&net, &pipeline, samples).unwrap()
+}
+
+/// FNN-A's layout (15 averages per channel) at 60 design samples and
+/// FNN-B's (100) at 150, each with its `m` and design length.
+fn designs() -> &'static [(FpgaDiscriminator, usize, usize); 2] {
+    static DESIGNS: OnceLock<[(FpgaDiscriminator, usize, usize); 2]> = OnceLock::new();
+    DESIGNS.get_or_init(|| [(design(15, 60), 15, 60), (design(100, 150), 100, 150)])
+}
 
 proptest! {
     #[test]
@@ -93,6 +149,59 @@ proptest! {
         for v in out {
             prop_assert!(!v.is_negative());
         }
+    }
+
+    /// The four-lane kernel equals the per-shot inference on every lane,
+    /// logit and overflow count included, with each lane at its own
+    /// length from `m` to twice the design length — averaging groups of
+    /// one, odd and power-of-two groups, traces shorter and longer than
+    /// the matched-filter envelope — and samples that saturate the ADC
+    /// (±1e6, ±inf) or are NaN. The `TraceBatch` adapter equals the
+    /// kernel on the lanes cut to their common length.
+    #[test]
+    fn infer_quad_with_matches_infer_detailed_per_lane(
+        which in 0usize..2,
+        lens in prop::collection::vec(0usize..1 << 16, 4),
+        seed in any::<u64>()
+    ) {
+        let (hw, m, samples) = &designs()[which];
+        let mut rng = StdRng::seed_from_u64(seed);
+        const LOUD: [f32; 5] = [1e6, -1e6, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        let mut sample = || {
+            if rng.gen_range(0..16u32) == 0 {
+                LOUD[rng.gen_range(0..5u32) as usize]
+            } else {
+                rng.gen_range(-3.0f32..3.0)
+            }
+        };
+        let traces: Traces = lens
+            .iter()
+            .map(|&x| {
+                let len = m + x % (2 * samples - m + 1);
+                ((0..len).map(|_| sample()).collect(), (0..len).map(|_| sample()).collect())
+            })
+            .collect();
+        let lanes: [(&[f32], &[f32]); 4] =
+            std::array::from_fn(|l| (&traces[l].0[..], &traces[l].1[..]));
+        let mut scratch = HwBatchScratch::new();
+        let details = hw.infer_quad_with(lanes, &mut scratch);
+        for (l, (i, q)) in lanes.iter().enumerate() {
+            prop_assert_eq!(
+                details[l],
+                hw.infer_detailed(i, q),
+                "lane {} of {} samples",
+                l,
+                i.len()
+            );
+        }
+        let common = lanes.iter().map(|(i, _)| i.len()).min().unwrap();
+        let cut = lanes.map(|(i, q)| (&i[..common], &q[..common]));
+        let mut batch = TraceBatch::new();
+        prop_assert!(batch.gather(cut));
+        prop_assert_eq!(
+            hw.infer_batch_with(&batch, &mut scratch),
+            hw.infer_quad_with(cut, &mut scratch)
+        );
     }
 
     /// The four-lane layer kernel equals the per-lane `forward`, bit for

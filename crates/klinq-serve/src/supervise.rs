@@ -331,13 +331,11 @@ impl RestartSource {
     fn resolve(&self) -> Option<Arc<KlinqSystem>> {
         if let Some(path) = &self.bundle {
             if !self.swapped.load(Ordering::Relaxed) {
-                if let Ok(devices) = persist::load_device_bundle_quarantined(path) {
-                    if let Some(Ok(system)) = devices.into_iter().nth(self.device) {
-                        let system = Arc::new(system);
-                        // klinq-lint: allow(no-panic-serve) lock poisoning requires a prior panic, which this same rule forbids on the serve path
-                        *self.retained.lock().unwrap() = Some(Arc::clone(&system));
-                        return Some(system);
-                    }
+                if let Ok(system) = persist::load_bundle_device(path, self.device) {
+                    let system = Arc::new(system);
+                    // klinq-lint: allow(no-panic-serve) lock poisoning requires a prior panic, which this same rule forbids on the serve path
+                    *self.retained.lock().unwrap() = Some(Arc::clone(&system));
+                    return Some(system);
                 }
             }
         }

@@ -18,11 +18,12 @@ use std::time::{Duration, Instant};
 /// the bytes actually received).
 const READ_CHUNK: usize = 64 * 1024;
 
-/// Per-event read budget — sized so a whole bulk request frame (~70 KB)
-/// drains in one readable event instead of paying a second readiness
-/// round trip for its tail. Level-triggered readiness re-reports
-/// leftover bytes on the next wait, so the bound keeps one fire-hose
-/// peer from starving every other connection without losing data.
+/// Per-event read budget. A latency request's frame drains in one
+/// readable event; a 256-shot bulk frame of 150-sample traces (five
+/// qubits, I and Q, 4-byte samples: ~1.5 MB) takes about six.
+/// Level-triggered readiness re-reports leftover bytes on the next
+/// wait, so the bound keeps one fire-hose peer from starving every
+/// other connection without losing data.
 const READ_BUDGET: usize = 256 * 1024;
 
 /// What a readable event produced.
